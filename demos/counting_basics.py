@@ -74,10 +74,11 @@ print("Triangle plus one pendant edge:",
       extend_pendant(triangle_total, triangle_rooted), "connected sets")
 
 print("\n" + "=" * 64)
-print("smart_count: formulas + cut-vertex decomposition")
+print("smart_count: cut-vertex decomposition")
 print("=" * 64)
-# A 16-vertex graph is far beyond comfortable brute force at a glance,
-# but it decomposes at cut vertices into formula-sized pieces.
+# A 16-vertex graph splits at cut vertices into two triangles and tree
+# edges: the trees go to the product-over-children recursion, and each
+# triangle, a cycle block, to the closed form n^2 - n + 1.
 big = Graph.from_edges(
     16,
     [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]

@@ -34,8 +34,7 @@ def N(g):
 print("=" * 72)
 print("Downhill: two shared cycles -> two tailed triangles")
 print("=" * 72)
-# Start from a 4-cycle and a 3-cycle sharing a vertex (7 vertices would
-# be typeII:4,4; here the figure-eight with a square).
+# Start from two 4-cycles sharing vertex 0 (typeII:4,4, 7 vertices).
 g = build(parse_family_spec("typeII:4,4"))
 print(f"start   {to_graph6(g):<10} N={N(g)}")
 # The second ring occupies vertices {0, 4, 5, 6}.
@@ -53,8 +52,7 @@ print()
 print("=" * 72)
 print("Uphill: grow a star, then swallow the far side")
 print("=" * 72)
-# A bowtie with a dangling path: first make the path a star, then
-# replace everything but one triangle by a star-plus-edge.
+# A bowtie with a dangling path: the path becomes a star at its root.
 g = Graph.from_edges(
     8,
     [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6), (6, 7)],
@@ -63,7 +61,12 @@ print(f"start   {to_graph6(g):<10} N={N(g)}")
 step1 = subtree_to_star(g, 4)
 print(f"step 1  {to_graph6(step1.result):<10} N={N(step1.result)}  "
       f"({step1.applied})")
-step2 = part_to_q(step1.result, mask_of([0, 1, 2]), 0)
+# part_to_q needs a pendant-free input, so it starts from a dumbbell: a
+# triangle {0, 2, 3} and a 4-cycle joined by the path 0 - 7 - 1.  All but
+# the triangle becomes a star plus one edge at vertex 0.
+g = build(parse_family_spec("dumbbell:3,4,3"))
+print(f"start   {to_graph6(g):<10} N={N(g)}")
+step2 = part_to_q(g, mask_of([0, 2, 3]), 0)
 print(f"step 2  {to_graph6(step2.result):<10} N={N(step2.result)}  "
       f"annotated: {step2.family_name}")
 print(f"ceiling N(B8) = {N(build(parse_family_spec('B:8')))} "

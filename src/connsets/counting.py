@@ -1,10 +1,11 @@
 """Exact counts of connected induced vertex subsets.
 
-The brute-force oracle is the ground truth of the whole package: it walks
-every nonempty vertex subset of a component as a single bitmask and tests
-connectivity by frontier expansion from the lowest set bit.  Everything
-else (closed forms, the identification algebra, the divide-and-conquer
-counter) is validated against it.
+The oracle is the ground truth of the whole package: it enumerates the
+connected sets of a component one by one, growing each from its lowest
+vertex by include/exclude branching over its extension, so its cost is
+proportional to the number of sets it counts.  Everything else (the
+closed forms, the identification algebra, the tree recursion and the
+cut-vertex decomposition behind ``smart_count``) is validated against it.
 
 Counts of disconnected graphs are defined as the sum over components, the
 convention that makes the vertex-deletion identities total.
@@ -16,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, ResourceCapError
+from .families import FamilySpec, closed_form
 from .graphs import Graph, bits, components, delete_vertices, is_connected, subgraph
 
 DEFAULT_ORACLE_CAP = 24
@@ -26,7 +28,7 @@ class CountResult:
     """A total count, the method that produced it, and its wall time."""
 
     total: int
-    method: str  # "oracle" | "decomposition" | "closed_form"
+    method: str  # "oracle" | "decomposition"
     elapsed: float = field(default=0.0, compare=False)
 
 
@@ -50,35 +52,32 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 def _connected_subsets(adj: tuple[int, ...], domain: int, required: int = 0) -> int:
     """Count nonempty connected subsets of ``domain`` containing ``required``.
 
-    Enumerates the free vertices as the low bits of a counter so each
-    subset costs one pass of adjacency-mask expansion.
+    Include/exclude branching: each set grows from its lowest vertex (the
+    lowest required vertex when ``required`` is set) by taking one vertex
+    of its extension at a time and excluding that vertex from the later
+    branches.  Every node of the search is one distinct connected set, so
+    the cost is O(N * n) for N sets rather than a scan of all subsets.
     """
-    free = list(bits(domain & ~required))
-    k = len(free)
+    if required:
+        root = required & -required
+        starts = [(root, ~domain | root)]
+    else:
+        starts = [(1 << v, ~domain | (2 << v) - 1) for v in bits(domain)]
     count = 0
-    for m in range(1 << k):
-        s = required
-        mm = m
-        while mm:
-            low = mm & -mm
-            s |= 1 << free[low.bit_length() - 1]
-            mm ^= low
-        if s == 0:
-            continue
-        start = s & -s
-        reach = start
-        frontier = start
-        while frontier:
-            grow = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                grow |= adj[low.bit_length() - 1]
-                rest ^= low
-            frontier = grow & s & ~reach
-            reach |= frontier
-        if reach == s:
-            count += 1
+    for root, seen in starts:
+        ext = adj[root.bit_length() - 1] & ~seen
+        stack = [(root, ext, seen | ext)]
+        while stack:
+            s, ext, seen = stack.pop()
+            if s & required == required:
+                count += 1
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                grow = adj[low.bit_length() - 1] & ~seen
+                stack.append((s | low, ext | grow, seen | grow))
+                if low & required:
+                    break
     return count
 
 
@@ -150,56 +149,34 @@ def extend_pendant(n_h: int, r_neighbor: int) -> int:
     return n_h + 1 + r_neighbor
 
 
-def tree_rooted_count(t: Graph, v: int) -> RootedCount:
-    """Rooted count in a tree by the product-over-children recursion."""
-    if not 0 <= v < t.n:
-        raise ContractViolationError(f"vertex {v} out of range for n={t.n}")
-    if t.edge_count != t.n - 1 or not is_connected(t):
-        raise ContractViolationError("tree recursion requires a tree input")
+def _tree_down(t: Graph, root: int) -> list[int]:
+    """Per vertex, the connected sets of a tree whose vertex closest to
+    ``root`` is that vertex; iterative product-over-children recursion.
 
-    def down(node: int, parent: int) -> int:
-        value = 1
-        for child in bits(t.adj[node] & ~(1 << parent if parent >= 0 else 0)):
-            value *= 1 + down(child, node)
-        return value
-
-    return RootedCount(v, down(v, -1))
-
-
-def _tree_total(t: Graph) -> int:
-    """Count connected sets of a tree: sum over vertices of the number of
-    connected sets whose closest-to-root vertex is that vertex."""
-    down = [0] * t.n
-
-    # Iterative post-order from root 0.
+    The sum is the total count and the entry at ``root`` its rooted count.
+    """
     order: list[tuple[int, int]] = []
-    stack = [(0, -1)]
+    stack = [(root, -1)]
     while stack:
         node, parent = stack.pop()
         order.append((node, parent))
         for child in bits(t.adj[node]):
             if child != parent:
                 stack.append((child, node))
+    down = [1] * t.n
     for node, parent in reversed(order):
-        value = 1
-        for child in bits(t.adj[node]):
-            if child != parent:
-                value *= 1 + down[child]
-        down[node] = value
-    return sum(down)
+        if parent >= 0:
+            down[parent] *= 1 + down[node]
+    return down
 
 
-def _shape_formula(g: Graph) -> int | None:
-    """Closed form when the graph is a path, cycle, or star."""
-    n, e = g.n, g.edge_count
-    degs = g.degrees()
-    if e == n - 1 and max(degs) <= 2:
-        return n * (n + 1) // 2
-    if n >= 3 and e == n and all(d == 2 for d in degs):
-        return n * n - n + 1
-    if n >= 3 and e == n - 1 and max(degs) == n - 1:
-        return (1 << (n - 1)) + n - 1
-    return None
+def tree_rooted_count(t: Graph, v: int) -> RootedCount:
+    """Rooted count in a tree by the product-over-children recursion."""
+    if not 0 <= v < t.n:
+        raise ContractViolationError(f"vertex {v} out of range for n={t.n}")
+    if t.edge_count != t.n - 1 or not is_connected(t):
+        raise ContractViolationError("tree recursion requires a tree input")
+    return RootedCount(v, _tree_down(t, v)[v])
 
 
 def _smart_total(g: Graph, cap: int | None) -> int:
@@ -210,11 +187,8 @@ def _smart_total(g: Graph, cap: int | None) -> int:
 
 
 def _smart_connected(g: Graph, cap: int | None) -> int:
-    formula = _shape_formula(g)
-    if formula is not None:
-        return formula
     if g.edge_count == g.n - 1:
-        return _tree_total(g)
+        return sum(_tree_down(g, 0))
     split = _best_cut_split(g)
     if split is not None:
         u, parts = split
@@ -227,6 +201,8 @@ def _smart_connected(g: Graph, cap: int | None) -> int:
             part_rooted = part_total - _smart_total(rest, cap)
             total, rooted = combine_identified(total, rooted, part_total, part_rooted)
         return total
+    if g.edge_count == g.n:
+        return closed_form(FamilySpec("cycle", (g.n,)))
     return oracle_count(g, cap).total
 
 
@@ -248,18 +224,17 @@ def _best_cut_split(g: Graph) -> tuple[int, list[int]] | None:
 
 
 def smart_count(g: Graph, cap: int | None = None) -> CountResult:
-    """Exact count by closed forms and cut-vertex decomposition.
+    """Exact count by cut-vertex decomposition.
 
-    Connected input only; falls back to the oracle on 2-connected blocks
-    without a formula.  Always equals ``oracle_count`` where both run.
+    Connected input only.  Trees go to the tree recursion; otherwise the
+    graph is split at cut vertices, and each 2-connected block is counted
+    by the cycle closed form when it is a cycle and by the oracle
+    otherwise.  Always equals ``oracle_count`` where both run.
     """
     if not is_connected(g):
         raise ContractViolationError(
             "smart_count requires a connected graph; sum over components instead"
         )
     t0 = time.perf_counter()
-    formula = _shape_formula(g)
-    if formula is not None:
-        return CountResult(formula, "closed_form", time.perf_counter() - t0)
     total = _smart_connected(g, cap)
     return CountResult(total, "decomposition", time.perf_counter() - t0)

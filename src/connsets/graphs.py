@@ -290,6 +290,9 @@ def from_graph6(text: str, label: str | None = None) -> Graph:
         raise FormatError(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
         )
+    padding = 6 * need - n * (n - 1) // 2
+    if body and body[-1] & ((1 << padding) - 1):
+        raise FormatError("graph6 padding bits must be zero")
     adj = [0] * n
     idx = 0
     for j in range(1, n):

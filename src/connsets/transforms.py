@@ -2,8 +2,9 @@
 
 Each surgery rewires a designated site of a bicyclic graph while keeping
 both the vertex and the edge count, so membership in the bicyclic family
-is preserved.  Surgery sites are supplied explicitly by the caller; the
-verification harness does its own site discovery.  Where an exact count
+is preserved.  Surgery sites are supplied explicitly by the caller: the
+verification harness has no surgery sweep, and the only site discovery
+is in the test suite (``tests/test_transforms.py``).  Where an exact count
 delta is available in closed form (the branch shift), it is computed from
 rooted counts of the parts and is exact; the other surgeries carry a
 proven direction only, which the test suite checks against the oracle.

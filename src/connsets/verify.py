@@ -112,15 +112,26 @@ def _total(g: Graph) -> int:
     return oracle_count(g).total
 
 
+# Unlabelled connected bicyclic graphs per order (OEIS A001429).
+_BICYCLIC_CLASSES = {
+    4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908,
+}
+
+
 def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     """Enumerate with the exhaustiveness guard: the stream must be
-    nonempty, and for small n its cardinality must match the independent
-    labelled generator."""
+    nonempty, its cardinality must match OEIS A001429 at every tabulated
+    order, and for small n also the independent labelled generator."""
     graphs = (
         enumerate_bicyclic(n) if cap is None else enumerate_bicyclic(n, cap=cap)
     )
     if not graphs:
         raise ContractViolationError(f"enumeration produced no graphs at n={n}")
+    if n in _BICYCLIC_CLASSES and len(graphs) != _BICYCLIC_CLASSES[n]:
+        raise ContractViolationError(
+            f"enumeration produced {len(graphs)} classes at n={n}, "
+            f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
+        )
     if n <= 8:
         from .crosscheck import labeled_bicyclic_certificates
 
@@ -204,11 +215,9 @@ def verify_maximum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
         len(maximisers) == 1
         and canonical_certificate(maximisers[0]).text == b_cert
     )
-    others_bounded = all(
-        c <= runner_bound for g, c in zip(graphs, counts)
-        if canonical_certificate(g).text != b_cert
+    status = (
+        PASS if hi == expected_max and unique_b and second == runner_bound else FAIL
     )
-    status = PASS if hi == expected_max and unique_b and others_bounded else FAIL
     return VerificationReport(
         claim="maximum",
         n_lo=n,

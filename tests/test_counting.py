@@ -20,7 +20,7 @@ from connsets import (
     tree_rooted_count,
 )
 from connsets.enumeration import enumerate_bicyclic, enumerate_trees
-from connsets.families import FamilySpec, build
+from connsets.families import FamilySpec, build, closed_form
 
 from conftest import (
     cycle_graph,
@@ -171,12 +171,21 @@ def test_smart_count_reference_values():
 
 
 def test_smart_count_methods():
-    assert smart_count(path_graph(6)).method == "closed_form"
-    assert smart_count(cycle_graph(6)).method == "closed_form"
-    assert smart_count(star_graph(6)).method == "closed_form"
+    assert smart_count(path_graph(6)).method == "decomposition"
+    assert smart_count(cycle_graph(6)).method == "decomposition"
+    assert smart_count(star_graph(6)).method == "decomposition"
     assert smart_count(build(FamilySpec("L", (8,)))).method == "decomposition"
     with pytest.raises(ContractViolationError):
         smart_count(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_smart_count_past_the_oracle_cap():
+    # Every instance here has more vertices than the default oracle cap.
+    assert smart_count(cycle_graph(30)).total == 871
+    assert smart_count(build(FamilySpec("dumbbell", (30, 30, 2)))).total == 191838
+    assert smart_count(path_graph(60)).total == 1830
+    for spec in (FamilySpec("B", (40,)), FamilySpec("star", (40,))):
+        assert smart_count(build(spec)).total == closed_form(spec)
 
 
 def test_smart_count_equals_oracle_everywhere():

@@ -164,7 +164,7 @@ def test_graph6_round_trip_random():
 
 
 def test_graph6_rejects_garbage():
-    for bad in ("", "#", "B", "~~", "~???"):
+    for bad in ("", "#", "B", "~~", "~???", "Bx"):
         with pytest.raises(FormatError):
             from_graph6(bad)
 

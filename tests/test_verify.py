@@ -112,3 +112,30 @@ def test_exhaustiveness_guard_catches_broken_enumeration(monkeypatch):
     )
     with pytest.raises(ContractViolationError):
         verify_mod.verify_minimum(6)
+
+
+def test_exhaustiveness_guard_covers_orders_past_the_labelled_sweep(monkeypatch):
+    import connsets.verify as verify_mod
+    from connsets.enumeration import enumerate_bicyclic as real
+
+    monkeypatch.setattr(
+        verify_mod, "enumerate_bicyclic", lambda n, cap=None: real(n)[:-1]
+    )
+    with pytest.raises(ContractViolationError):
+        verify_mod.verify_minimum(9)
+
+
+def test_maximum_fails_when_the_runner_up_is_off(monkeypatch):
+    import connsets.verify as verify_mod
+
+    real = verify_mod.count_stream
+
+    def lowered(graphs, workers=1):
+        counts = real(graphs, workers)
+        second = sorted(set(counts))[-2]
+        return [c - 1 if c == second else c for c in counts]
+
+    monkeypatch.setattr(verify_mod, "count_stream", lowered)
+    report = verify_mod.verify_maximum(9)
+    assert report.observed["second_max"] == 265
+    assert report.status == FAIL
