@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -81,7 +82,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     lines = []
     if args.root is None and args.pair is None:
-        result = smart_count(g) if args.method == "smart" else oracle_count(g, args.cap)
+        counter = smart_count if args.method == "smart" else oracle_count
+        result = counter(g, args.cap)
         lines.append(str(result.total))
     if args.root is not None:
         lines.append(str(oracle_count_rooted(g, args.root, args.cap).value))
@@ -107,7 +109,14 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_workers(workers: int) -> None:
+    limit = os.cpu_count() or 1
+    if not 1 <= workers <= limit:
+        raise ParameterError(f"--workers must be in 1..{limit}, got {workers}")
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     cap = args.cap if args.cap is not None else DEFAULT_BICYCLIC_CAP
     graphs = enumerate_bicyclic(args.n, cap=cap)
     counts = verify_mod.count_stream(graphs, args.workers)
@@ -225,6 +234,7 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     claims = list(_CLAIM_RUNNERS) if args.claim == "all" else [args.claim]
     reports = []
     for claim in claims:

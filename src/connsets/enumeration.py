@@ -20,16 +20,7 @@ from typing import Iterator
 
 from .canon import Certificate, canonical_certificate
 from .errors import ContractViolationError, ResourceCapError
-from .graphs import (
-    Graph,
-    bits,
-    components,
-    cut_vertices,
-    is_connected,
-    mask_of,
-    pendant_vertices,
-    subgraph,
-)
+from .graphs import Graph, bits, components, cut_vertices, is_connected, subgraph
 
 DEFAULT_BICYCLIC_CAP = 11
 DEFAULT_TREE_CAP = 10
@@ -131,43 +122,21 @@ def _require_bicyclic(g: Graph) -> None:
         )
 
 
-def _bridges(g: Graph, domain: int) -> list[tuple[int, int]]:
-    """Bridge edges of the subgraph induced by ``domain`` (assumed connected)."""
-    out = []
-    verts = list(bits(domain))
-    for v in verts:
-        for u in bits(g.adj[v] & domain):
-            if u <= v:
-                continue
-            # Temporarily drop edge (v, u) and test reachability.
-            reach = 1 << v
-            frontier = 1 << v
-            while frontier:
-                grow = 0
-                rest = frontier
-                while rest:
-                    low = rest & -rest
-                    w = low.bit_length() - 1
-                    row = g.adj[w] & domain
-                    if w == v:
-                        row &= ~(1 << u)
-                    elif w == u:
-                        row &= ~(1 << v)
-                    grow |= row
-                    rest ^= low
-                frontier = grow & domain & ~reach
-                reach |= frontier
-            if not reach >> u & 1:
-                out.append((v, u))
-    return out
-
-
 def _classify_core(core: Graph) -> tuple[str, tuple[int, ...]]:
-    """Type and shape parameters of a pendant-free bicyclic graph."""
-    degs = core.degrees()
+    """Type and shape parameters of a pendant-free bicyclic graph, read
+    off its cut vertices.
+
+    Without a cut vertex the core is a theta.  Otherwise deleting the cut
+    vertices leaves exactly two components, each a cycle minus the one
+    vertex where it meets the rest, so their sizes plus one are the cycle
+    lengths p <= q.  A single cut vertex is shared by both cycles (type
+    II); r >= 2 cut vertices are the vertices of the path joining them
+    (type I).
+    """
     cuts = cut_vertices(core)
     if cuts == 0:
         # Theta: two hubs of degree three joined by three disjoint paths.
+        degs = core.degrees()
         hubs = [v for v in range(core.n) if degs[v] == 3]
         assert len(hubs) == 2, "theta core must have exactly two branch vertices"
         h1, h2 = hubs
@@ -176,25 +145,11 @@ def _classify_core(core: Graph) -> tuple[str, tuple[int, ...]]:
         if core.has_edge(h1, h2):
             lengths.append(2)
         return "III", tuple(sorted(lengths))
-    if max(degs) == 4:
-        shared = degs.index(4)
-        rest = core.vertex_mask & ~(1 << shared)
-        sizes = sorted(comp.bit_count() + 1 for comp in components(core, rest))
-        assert len(sizes) == 2
-        return "II", tuple(sizes)
-    bridges = _bridges(core, core.vertex_mask)
-    drop = [0] * core.n
-    for v, u in bridges:
-        drop[v] |= 1 << u
-        drop[u] |= 1 << v
-    stripped = Graph(core.n, tuple(core.adj[v] & ~drop[v] for v in range(core.n)))
-    cycle_sizes = sorted(
-        comp.bit_count()
-        for comp in components(stripped, stripped.vertex_mask)
-        if comp.bit_count() > 1
+    p, q = sorted(
+        comp.bit_count() + 1 for comp in components(core, core.vertex_mask & ~cuts)
     )
-    assert len(cycle_sizes) == 2
-    return "I", (cycle_sizes[0], cycle_sizes[1], len(bridges) + 1)
+    r = cuts.bit_count()
+    return ("II", (p, q)) if r == 1 else ("I", (p, q, r))
 
 
 def pendant_free_core(g: Graph) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
@@ -202,7 +157,10 @@ def pendant_free_core(g: Graph) -> tuple[int, dict[int, tuple[tuple[int, int], .
     that contains a cycle.
 
     Returns the mask of the surviving (pendant-free) core and, for every
-    core vertex, the edges of the stripped tree hanging from it.
+    core vertex, the edges of the stripped tree hanging from it.  Each
+    tree is collected by walking outward from its core vertex through the
+    stripped vertices; every edge is oriented ``(parent, child)``, the
+    parent being the end nearer the core.
     """
     if not is_connected(g):
         raise ContractViolationError("core extraction requires a connected graph")
@@ -211,8 +169,6 @@ def pendant_free_core(g: Graph) -> tuple[int, dict[int, tuple[tuple[int, int], .
             "core extraction requires at least one cycle (trees strip to nothing)"
         )
     remaining = g.vertex_mask
-    # parent_of[v]: the neighbour v was hanging from when stripped.
-    parent_of: dict[int, int] = {}
     while True:
         pend = 0
         for v in bits(remaining):
@@ -220,22 +176,21 @@ def pendant_free_core(g: Graph) -> tuple[int, dict[int, tuple[tuple[int, int], .
                 pend |= 1 << v
         if pend == 0:
             break
-        for v in bits(pend):
-            parent_of[v] = (g.adj[v] & remaining).bit_length() - 1
         remaining &= ~pend
 
-    # Walk each stripped vertex up to its core anchor.
-    def anchor(v: int) -> int:
-        while not remaining >> v & 1:
-            v = parent_of[v]
-        return v
-
-    attachments: dict[int, list[tuple[int, int]]] = {v: [] for v in bits(remaining)}
-    for v, parent in parent_of.items():
-        attachments[anchor(v)].append((parent, v))
-    return remaining, {
-        root: tuple(sorted(edges)) for root, edges in attachments.items()
-    }
+    seen = remaining
+    attachments: dict[int, tuple[tuple[int, int], ...]] = {}
+    for root in bits(remaining):
+        edges = []
+        stack = [root]
+        while stack:
+            parent = stack.pop()
+            for child in bits(g.adj[parent] & ~seen):
+                seen |= 1 << child
+                edges.append((parent, child))
+                stack.append(child)
+        attachments[root] = tuple(sorted(edges))
+    return remaining, attachments
 
 
 def extract_core(g: Graph) -> CoreClassification:

@@ -35,7 +35,7 @@ class TransformOutcome:
 
 def annotate_family(g: Graph) -> str | None:
     """Name of the named-family graph ``g`` matches, if any."""
-    from .families import E_NAMES, E_THETA, FamilySpec, build
+    from .families import E_NAMES, FamilySpec, build
 
     cert = canonical_certificate(g)
     candidates: list[FamilySpec] = []

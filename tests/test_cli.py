@@ -1,6 +1,7 @@
 """The command-line surface: outputs, formats, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -30,6 +31,11 @@ def test_count_methods_agree(capsys):
     _, oracle_out, _ = run(capsys, "count", "--family", "L:9")
     _, smart_out, _ = run(capsys, "count", "--family", "L:9", "--method", "smart")
     assert oracle_out == smart_out == "60\n"
+    # Past the default oracle cap, both methods honour an explicit --cap.
+    big = ("count", "--family", "theta:10,10,10", "--cap", "30")
+    _, oracle_out, _ = run(capsys, *big)
+    code, smart_out, _ = run(capsys, *big, "--method", "smart")
+    assert code == 0 and oracle_out == smart_out == "5563\n"
 
 
 def test_family_build_and_count(capsys):
@@ -71,6 +77,21 @@ def test_enumerate_deterministic(capsys):
     _, first, _ = run(capsys, "enumerate", "--n", "6")
     _, second, _ = run(capsys, "enumerate", "--n", "6", "--workers", "2")
     assert first == second
+
+
+def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
+    import connsets.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --workers was validated")
+
+    monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
+    for bad in ("0", "-1", str(os.cpu_count() + 1)):
+        for argv in (("enumerate", "--n", "5"), ("verify", "min", "--n", "5")):
+            code, out, err = run(capsys, *argv, "--workers", bad)
+            assert code == 3 and out == "" and "--workers" in err, (argv, bad)
 
 
 def test_transform_subcommand(capsys):

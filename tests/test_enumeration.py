@@ -2,6 +2,8 @@
 against the independent labelled generator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connsets import (
     ContractViolationError,
@@ -17,13 +19,15 @@ from connsets.crosscheck import (
     labeled_tree_certificates,
 )
 from connsets.enumeration import (
+    _classify_core,
+    _core_graphs,
     enumerate_bicyclic,
     enumerate_trees,
     extract_core,
     pendant_free_core,
     rooted_tree_level_sequences,
 )
-from connsets.families import FamilySpec, build
+from connsets.families import FamilySpec, build, parse_family_spec
 
 # Class counts established by the agreement of the two independent
 # generators (n <= 8) and pinned for the larger sweeps.
@@ -124,6 +128,42 @@ def test_extract_core_family_shapes():
     for spec, kind, params in cases:
         core = extract_core(build(spec))
         assert (core.kind, core.params) == (kind, params), spec
+
+
+def test_classify_core_on_every_built_shape():
+    # Each core shape carries its family spec as label; the classifier
+    # must read the same kind and parameters back off the bare graph.
+    kinds = {"dumbbell": "I", "typeII": "II", "theta": "III"}
+    shapes = list(_core_graphs(14))
+    assert len(shapes) == 214
+    for core in shapes:
+        spec = parse_family_spec(core.label)
+        assert _classify_core(core) == (kinds[spec.kind], spec.params), core.label
+
+
+@st.composite
+def relabelled_bicyclic(draw):
+    """A random tree plus two non-edges, and a random relabelling of it."""
+    n = draw(st.integers(4, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    non_edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree
+    ]
+    extra = draw(st.lists(st.sampled_from(non_edges), min_size=2, max_size=2, unique=True))
+    g = Graph.from_edges(n, tree + extra)
+    return g, g.relabel(tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_bicyclic())
+def test_core_analysis_ignores_labelling(pair):
+    first, second = (extract_core(g) for g in pair)
+    assert (first.kind, first.params) == (second.kind, second.params)
+    assert sorted(len(e) for e in first.attachments.values()) == sorted(
+        len(e) for e in second.attachments.values()
+    )
+    for g, core in zip(pair, (first, second)):
+        assert core.reassembled_edges(g) == sorted(g.edges())
 
 
 def test_extract_core_attachments():

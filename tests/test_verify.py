@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from connsets import ContractViolationError
+from connsets import ContractViolationError, ResourceCapError
 from connsets.verify import (
     FAIL,
     INFORMATIONAL,
@@ -55,8 +55,9 @@ def test_vertex_bound_equality_cases():
     assert report.observed["equality_cases"] == 2
     assert all("degree 2" in note for note in report.notes)
     assert verify_vertex_bound(5).status == PASS
-    with pytest.raises(ContractViolationError):
-        verify_vertex_bound(10)
+    assert verify_vertex_bound(10).status == PASS
+    with pytest.raises(ResourceCapError):
+        verify_vertex_bound(12)
 
 
 def test_closed_forms_sweep():
