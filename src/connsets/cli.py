@@ -214,7 +214,7 @@ _CLAIM_RUNNERS = {
         for n in _span(args, default_lo=4, default_hi=9)
     ],
     "closed-forms": lambda args: [
-        verify_mod.verify_closed_forms(args.n if args.n else 16)
+        verify_mod.verify_closed_forms(16 if args.n is None else args.n)
     ],
     "lemmas": lambda args: [
         verify_mod.verify_lemma_algebra(
@@ -222,7 +222,7 @@ _CLAIM_RUNNERS = {
         )
     ],
     "tree-bound": lambda args: [
-        verify_mod.verify_tree_bound(args.n if args.n else 9)
+        verify_mod.verify_tree_bound(9 if args.n is None else args.n)
     ],
 }
 
@@ -235,6 +235,8 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
+    if args.n is not None and args.n < 1:
+        raise ParameterError(f"--n must be at least 1, got {args.n}")
     claims = list(_CLAIM_RUNNERS) if args.claim == "all" else [args.claim]
     reports = []
     for claim in claims:

@@ -94,6 +94,20 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
             assert code == 3 and out == "" and "--workers" in err, (argv, bad)
 
 
+def test_verify_rejects_nonpositive_order_before_any_work(capsys, monkeypatch):
+    import connsets.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --n was validated")
+
+    monkeypatch.setattr(cli.verify_mod, "verify_tree_bound", refuse)
+    monkeypatch.setattr(cli.verify_mod, "verify_closed_forms", refuse)
+    for claim in ("tree-bound", "closed-forms"):
+        for bad in ("-3", "0"):
+            code, out, err = run(capsys, "verify", claim, "--n", bad)
+            assert code == 3 and out == "" and "--n" in err, (claim, bad)
+
+
 def test_transform_subcommand(capsys):
     code, out, _ = run(
         capsys,

@@ -1,6 +1,7 @@
 """Tree and bicyclic generation, core extraction, and the cross-check
 against the independent labelled generator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from connsets import (
     is_connected,
     oracle_count,
 )
+from connsets import crosscheck
 from connsets.crosscheck import (
     labeled_bicyclic_classes,
     labeled_tree_certificates,
@@ -109,9 +111,66 @@ def test_labeled_generator_orbit_sizes():
     # Orbit sizes are n! / |Aut|, hence divide n!.
     import math
 
-    for n in (5, 6):
+    for n in (5, 6, 7):
         for _, orbit in labeled_bicyclic_classes(n):
             assert math.factorial(n) % orbit == 0
+
+
+def test_labeled_orbit_sizes_sum_to_the_connected_sweep():
+    # Connected labelled graphs with n vertices and n + 1 edges.
+    totals = {4: 6, 5: 205, 6: 5700, 7: 156555, 8: 4483360}
+    for n, total in totals.items():
+        assert sum(size for _, size in labeled_bicyclic_classes(n)) == total
+
+
+def test_subset_masks_match_combinations():
+    import itertools
+
+    for slots, k in ((0, 0), (1, 1), (5, 0), (5, 2), (6, 6), (7, 3), (10, 4)):
+        expected = sorted(
+            sum(1 << e for e in combo) for combo in itertools.combinations(range(slots), k)
+        )
+        assert crosscheck._subset_masks(slots, k).tolist() == expected, (slots, k)
+
+
+def test_connected_edge_masks_match_a_loop_reference():
+    import itertools
+
+    for n in (4, 5):
+        slots = crosscheck._edge_slots(n)
+        for m in range(len(slots) + 1):
+            expected = sorted(
+                sum(1 << e for e in combo)
+                for combo in itertools.combinations(range(len(slots)), m)
+                if is_connected(Graph.from_edges(n, [slots[e] for e in combo]))
+            )
+            assert crosscheck._connected_edge_masks(n, m).tolist() == expected, (n, m)
+
+
+def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
+    real = crosscheck._connected_edge_masks
+
+    def one_short(n, m):
+        masks = real(n, m)
+        return np.delete(masks, len(masks) // 2)
+
+    monkeypatch.setattr(crosscheck, "_connected_edge_masks", one_short)
+    # Bypass the cache so the truncated sweep really runs.
+    with pytest.raises(ContractViolationError, match="n=6: an orbit member is missing"):
+        labeled_bicyclic_classes.__wrapped__(6)
+
+
+def test_labeled_sweep_checks_orbit_size_against_the_stabiliser(monkeypatch):
+    real = crosscheck._permutation_edge_maps
+
+    def not_a_group(n):
+        table = real(n).copy()
+        table[-1] = table[0]  # the last permutation becomes a second identity
+        return table
+
+    monkeypatch.setattr(crosscheck, "_permutation_edge_maps", not_a_group)
+    with pytest.raises(ContractViolationError, match=r"n=5: \d+ distinct images"):
+        labeled_bicyclic_classes.__wrapped__(5)
 
 
 def test_extract_core_family_shapes():

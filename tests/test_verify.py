@@ -126,6 +126,21 @@ def test_exhaustiveness_guard_covers_orders_past_the_labelled_sweep(monkeypatch)
         verify_mod.verify_minimum(9)
 
 
+def test_exhaustiveness_guard_compares_class_lists(monkeypatch):
+    # One class replaced by a copy of another keeps both counts right
+    # (A001429 and the labelled sweep), so only the certificates differ.
+    import connsets.verify as verify_mod
+    from connsets.enumeration import enumerate_bicyclic as real
+
+    def duplicated(n, cap=None):
+        graphs = real(n)
+        return [graphs[1]] + graphs[1:]
+
+    monkeypatch.setattr(verify_mod, "enumerate_bicyclic", duplicated)
+    with pytest.raises(ContractViolationError, match="labelled generator at n=6"):
+        verify_mod.verify_minimum(6)
+
+
 def test_maximum_fails_when_the_runner_up_is_off(monkeypatch):
     import connsets.verify as verify_mod
 
