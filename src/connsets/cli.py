@@ -109,6 +109,12 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_WORKERS_HELP = (
+    "count in this many processes (default 1); the pool is slower than "
+    "serial counting on corpora up to n = 10"
+)
+
+
 def _check_workers(workers: int) -> None:
     limit = os.cpu_count() or 1
     if not 1 <= workers <= limit:
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="stream all n-vertex bicyclic graphs")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--cap", type=int, help="enumeration size cap override")
-    p_enum.add_argument("--workers", type=int, default=1)
+    p_enum.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_enum.add_argument("--format", choices=("graph6", "csv"), default="graph6")
     p_enum.add_argument("--out", help="write output here instead of stdout")
     p_enum.set_defaults(func=_cmd_enumerate)
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, help="restrict the sweep to one order")
     p_ver.add_argument("--seed", type=int, default=2024)
     p_ver.add_argument("--cap", type=int, help="enumeration size cap override")
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_ver.add_argument("--format", choices=("json", "csv"), default="json")
     p_ver.add_argument("--out", help="write output here instead of stdout")
     p_ver.set_defaults(func=_cmd_verify)

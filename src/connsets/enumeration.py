@@ -4,9 +4,11 @@ trees.
 
 Bicyclic graphs are generated constructively: every pendant-free bicyclic
 core shape (two disjoint cycles joined by a path, two cycles sharing a
-vertex, or a theta graph) of at most n vertices is built, all rooted
+vertex, or a theta graph) of at most n vertices is built, and rooted
 forests distributing the remaining vertices over the core are attached,
-and the results are deduplicated by canonical certificate.  An
+one forest per orbit of the core's automorphism group.  Each class is
+therefore generated exactly once; its canonical certificate only orders
+the output, and a repeated certificate is a contract violation.  An
 independent labelled-graph generator (see :mod:`connsets.crosscheck`)
 validates this pipeline for small n.
 """
@@ -20,7 +22,15 @@ from typing import Iterator
 
 from .canon import Certificate, canonical_certificate
 from .errors import ContractViolationError, ResourceCapError
-from .graphs import Graph, bits, components, cut_vertices, is_connected, subgraph
+from .graphs import (
+    Graph,
+    bits,
+    components,
+    cut_vertices,
+    is_connected,
+    subgraph,
+    to_graph6,
+)
 
 DEFAULT_BICYCLIC_CAP = 11
 DEFAULT_TREE_CAP = 10
@@ -247,32 +257,96 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def _core_automorphisms(core: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of a connected core as the tuple of vertex
+    images, identity first.
+
+    Vertices are mapped in breadth-first order, each to an unused vertex
+    of equal degree whose adjacency to the vertices mapped so far
+    matches; every vertex after the first has a mapped neighbour, so
+    only the neighbours of that neighbour's image can pass.
+    """
+    order = [0]
+    reached = 1
+    for v in order:
+        for u in bits(core.adj[v] & ~reached):
+            reached |= 1 << u
+            order.append(u)
+    degs = core.degrees()
+    image = [0] * core.n
+    found = []
+
+    def extend(depth: int, used: int) -> None:
+        if depth == core.n:
+            found.append(tuple(image))
+            return
+        v = order[depth]
+        for w in range(core.n):
+            if used >> w & 1 or degs[w] != degs[v]:
+                continue
+            if all(
+                core.has_edge(u, v) == core.has_edge(image[u], w) for u in order[:depth]
+            ):
+                image[v] = w
+                extend(depth + 1, used | 1 << w)
+
+    extend(0, 0)
+    return tuple(sorted(found))
+
+
 def _with_attachments(core: Graph, extra: int) -> Iterator[Graph]:
-    """Attach every distribution of ``extra`` vertices as rooted trees."""
+    """Attach ``extra`` vertices as rooted trees, one distribution per
+    isomorphism class.
+
+    A distribution is keyed by ``(sizes, shapes)``: the tree size at each
+    core vertex and the index of its shape in ``_rooted_trees``, where
+    level sequences name each rooted tree exactly once.  Two keys give
+    isomorphic graphs exactly when an automorphism of the core carries
+    one onto the other, since every isomorphism maps the pendant-free
+    core onto itself.  ``_compositions`` and ``itertools.product`` both
+    run in increasing lexicographic order, so keys are generated in
+    increasing order and the least key of an orbit is the first one
+    generated; only that one is kept.  A composition is skipped whole
+    when an automorphism makes ``sizes`` smaller; otherwise the shapes
+    are compared only under the automorphisms that fix ``sizes``.
+    """
     m = core.n
     core_edges = core.edges()
+    others = _core_automorphisms(core)[1:]
     for sizes in _compositions(extra, m):
+        images = [tuple(sizes[i] for i in sigma) for sigma in others]
+        if any(img < sizes for img in images):
+            continue
+        fixing = [sigma for sigma, img in zip(others, images) if img == sizes]
         offsets = []
         nxt = m
         for s in sizes:
             offsets.append(nxt)
             nxt += s
         choices = [_rooted_trees(s + 1) for s in sizes]
-        for combo in itertools.product(*choices):
+        for shapes in itertools.product(*(range(len(c)) for c in choices)):
+            if any(tuple(shapes[i] for i in sigma) < shapes for sigma in fixing):
+                continue
             edges = list(core_edges)
-            for idx, tree in enumerate(combo):
+            for idx, shape in enumerate(shapes):
                 ids = [idx] + list(range(offsets[idx], offsets[idx] + sizes[idx]))
-                edges.extend((ids[u], ids[v]) for u, v in tree)
+                edges.extend((ids[u], ids[v]) for u, v in choices[idx][shape])
             yield Graph.from_edges(m + extra, edges)
 
 
 @lru_cache(maxsize=16)
 def _enumerate_bicyclic_cached(n: int) -> tuple[Graph, ...]:
-    seen: dict[Certificate, Graph] = {}
+    classes: dict[Certificate, Graph] = {}
     for core in _core_graphs(n):
         for g in _with_attachments(core, n - core.n):
-            seen.setdefault(canonical_certificate(g), g)
-    return tuple(seen[c] for c in sorted(seen))
+            cert = canonical_certificate(g)
+            if cert in classes:
+                raise ContractViolationError(
+                    f"n={n}: the generator produced one class twice "
+                    f"({to_graph6(classes[cert])} and {to_graph6(g)})"
+                )
+            classes[cert] = g
+    return tuple(classes[c] for c in sorted(classes))
 
 
 def enumerate_bicyclic(n: int, cap: int = DEFAULT_BICYCLIC_CAP) -> list[Graph]:

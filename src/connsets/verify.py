@@ -97,6 +97,9 @@ def count_stream(graphs: list[Graph], workers: int = 1) -> list[int]:
     """Exact counts for a list of graphs, optionally across processes.
 
     The result order matches the input order regardless of worker count.
+    On corpora up to n = 10 the process pool is slower than ``workers=1``:
+    each count is cheap next to pool start-up and pickling, and two
+    workers measured 0.62-0.80 times the serial speed.
     """
     if workers <= 1:
         return [oracle_count(g).total for g in graphs]

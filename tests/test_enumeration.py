@@ -20,9 +20,13 @@ from connsets.crosscheck import (
     labeled_bicyclic_classes,
     labeled_tree_certificates,
 )
+from connsets import enumeration
 from connsets.enumeration import (
     _classify_core,
+    _core_automorphisms,
     _core_graphs,
+    _enumerate_bicyclic_cached,
+    _with_attachments,
     enumerate_bicyclic,
     enumerate_trees,
     extract_core,
@@ -30,6 +34,7 @@ from connsets.enumeration import (
     rooted_tree_level_sequences,
 )
 from connsets.families import FamilySpec, build, parse_family_spec
+from connsets.graphs import to_graph6
 
 # Class counts established by the agreement of the two independent
 # generators (n <= 8) and pinned for the larger sweeps.
@@ -96,6 +101,61 @@ def test_bicyclic_bounds():
         enumerate_bicyclic(3)
     with pytest.raises(ResourceCapError):
         enumerate_bicyclic(12)
+
+
+def test_core_automorphisms_match_brute_force():
+    import itertools
+
+    orders = {}
+    for core in _core_graphs(7):
+        brute = tuple(
+            sorted(
+                p for p in itertools.permutations(range(core.n)) if core.relabel(p) == core
+            )
+        )
+        assert _core_automorphisms(core) == brute, core.label
+        orders[core.label] = len(brute)
+    assert orders["theta:3,3,3"] == 12
+    assert orders["typeII:3,3"] == 8
+    assert orders["dumbbell:3,3,2"] == 8
+    assert orders["theta:3,3,4"] == 4
+
+
+def test_attachments_generate_each_class_once():
+    # One graph per orbit of the core's automorphism group: the raw
+    # stream already has the A001429 length, before any dedupe.
+    for n, expected in BICYCLIC_CLASSES.items():
+        raw = sum(
+            sum(1 for _ in _with_attachments(core, n - core.n)) for core in _core_graphs(n)
+        )
+        assert raw == expected, n
+
+
+def test_duplicate_class_is_a_contract_violation(monkeypatch):
+    # Without the core symmetries every orbit of attachments is generated
+    # whole, so the generator repeats classes and the dedupe check fires.
+    monkeypatch.setattr(
+        enumeration, "_core_automorphisms", lambda core: (tuple(range(core.n)),)
+    )
+    _enumerate_bicyclic_cached.cache_clear()
+    try:
+        with pytest.raises(ContractViolationError, match="n=6: the generator produced"):
+            enumerate_bicyclic(6)
+    finally:
+        _enumerate_bicyclic_cached.cache_clear()
+
+
+def test_bicyclic_representatives_are_pinned():
+    # The exact labelled graph kept for each class, in certificate order.
+    import hashlib
+
+    digests = {
+        9: "2c6d6ba7ebd0ff28e1238d0075aac4fd7684926dfe27ae72c3f31b21bce4baf2",
+        10: "f44ac4224ddea10eea0da845fb19a7264ecef609f695bfc0118b7bbb5d768d3f",
+    }
+    for n, digest in digests.items():
+        text = "\n".join(to_graph6(g) for g in enumerate_bicyclic(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_cross_check_generator_agreement():
