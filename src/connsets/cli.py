@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .counting import oracle_count, oracle_count_pair, oracle_count_rooted, smart_count
-from .enumeration import DEFAULT_BICYCLIC_CAP, enumerate_bicyclic, extract_core
+from .enumeration import enumerate_bicyclic, extract_core
 from .errors import (
     ContractViolationError,
     FormatError,
@@ -123,8 +123,7 @@ def _check_workers(workers: int) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
-    cap = args.cap if args.cap is not None else DEFAULT_BICYCLIC_CAP
-    graphs = enumerate_bicyclic(args.n, cap=cap)
+    graphs = enumerate_bicyclic(args.n, args.cap)
     counts = verify_mod.count_stream(graphs, args.workers)
 
     def rows():
@@ -220,7 +219,7 @@ _CLAIM_RUNNERS = {
         for n in _span(args, default_lo=4, default_hi=9)
     ],
     "closed-forms": lambda args: [
-        verify_mod.verify_closed_forms(16 if args.n is None else args.n)
+        verify_mod.verify_closed_forms(16 if args.n is None else args.n, args.cap)
     ],
     "lemmas": lambda args: [
         verify_mod.verify_lemma_algebra(
@@ -228,7 +227,7 @@ _CLAIM_RUNNERS = {
         )
     ],
     "tree-bound": lambda args: [
-        verify_mod.verify_tree_bound(9 if args.n is None else args.n)
+        verify_mod.verify_tree_bound(9 if args.n is None else args.n, args.cap)
     ],
 }
 
@@ -315,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--n", type=int, help="restrict the sweep to one order")
     p_ver.add_argument("--seed", type=int, default=2024)
-    p_ver.add_argument("--cap", type=int, help="enumeration size cap override")
+    p_ver.add_argument(
+        "--cap", type=int, help="size cap override (oracle vertices for closed-forms)"
+    )
     p_ver.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_ver.add_argument("--format", choices=("json", "csv"), default="json")
     p_ver.add_argument("--out", help="write output here instead of stdout")

@@ -73,14 +73,16 @@ def tree_edges_from_levels(levels: tuple[int, ...]) -> list[tuple[int, int]]:
     return edges
 
 
-def enumerate_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> list[Graph]:
+def enumerate_trees(n: int, cap: int | None = None) -> list[Graph]:
     """All isomorphism classes of free trees on ``n`` vertices.
 
     Rooted shapes are generated by level sequence and collapsed to free
-    trees by certificate; results are sorted by certificate.
+    trees by certificate; results are sorted by certificate.  ``cap``
+    (default ``DEFAULT_TREE_CAP``) is the largest order allowed.
     """
     if n < 1:
         raise ContractViolationError(f"trees need n >= 1, got {n}")
+    cap = DEFAULT_TREE_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n <= {cap}, got {n}")
     seen: dict[Certificate, Graph] = {}
@@ -349,13 +351,15 @@ def _enumerate_bicyclic_cached(n: int) -> tuple[Graph, ...]:
     return tuple(classes[c] for c in sorted(classes))
 
 
-def enumerate_bicyclic(n: int, cap: int = DEFAULT_BICYCLIC_CAP) -> list[Graph]:
+def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
     """One representative per isomorphism class of n-vertex bicyclic
-    graphs, in certificate order."""
+    graphs, in certificate order.  ``cap`` (default
+    ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed."""
     if n < 4:
         raise ContractViolationError(
             f"bicyclic graphs have at least four vertices, got n={n}"
         )
+    cap = DEFAULT_BICYCLIC_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(
             f"bicyclic enumeration capped at n <= {cap}, got {n}; "

@@ -2,10 +2,17 @@
 
 Families are described by a :class:`FamilySpec` (a kind plus integer
 parameters) with a compact text syntax for the command line, e.g.
-``"L:9"``, ``"dumbbell:3,4,2"``, ``"theta:2,3,4"``.  Construction uses a
-fixed vertex numbering per family (hubs first, then cycle and path
-interiors in order) so that builds are byte-for-byte reproducible in
-graph6 output.
+``"L:9"``, ``"dumbbell:3,4,2"``, ``"theta:2,3,4"``.  Each parametrised
+kind is one row of :data:`KINDS`: its parameter names with their smallest
+values, its builder and, where one exists, its closed-form count.  The
+row is all that validation, :func:`build` and :func:`closed_form` read;
+only theta's ordering ``a <= b <= c`` is checked outside it.  The named
+small theta graphs (``A4``, ``E51``, ... ``E8``) take no parameters and
+are frozen edge lists with reference counts instead.
+
+Construction uses a fixed vertex numbering per family (hubs first, then
+cycle and path interiors in order) so that builds are byte-for-byte
+reproducible in graph6 output.
 
 Conventions that pin down the ambiguous corners:
 
@@ -21,47 +28,160 @@ Conventions that pin down the ambiguous corners:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import FormatError, ParameterError
 from .graphs import Graph
 
-# Kinds with a fixed arity; "E" kinds are zero-parameter named graphs.
-_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "star": 1,
-    "tadpole": 1,
-    "dumbbell": 3,
-    "typeII": 2,
-    "theta": 3,
-    "A": 1,
-    "L": 1,
-    "B": 1,
-    "R": 1,
-    "Q": 1,
+Edges = list[tuple[int, int]]
+
+
+# ---------------------------------------------------------------------------
+# Constructors: parameters -> (vertex count, edge list)
+
+
+def _chain(vertices: list[int]) -> Edges:
+    """Edges of the path visiting ``vertices`` in order."""
+    return list(zip(vertices, vertices[1:]))
+
+
+def _cycle_through(hub: int, first: int, size: int) -> Edges:
+    """Edges of a ``size``-cycle through ``hub`` and the vertices
+    ``first, first + 1, ...``."""
+    return _chain([hub, *range(first, first + size - 1), hub])
+
+
+def _path(n: int) -> tuple[int, Edges]:
+    return n, _chain(list(range(n)))
+
+
+def _cycle(n: int) -> tuple[int, Edges]:
+    return n, _cycle_through(0, 1, n)
+
+
+def _star(n: int) -> tuple[int, Edges]:
+    return n, [(0, i) for i in range(1, n)]
+
+
+def _tadpole(m: int) -> tuple[int, Edges]:
+    # Triangle 0-1-2, path hanging off vertex 0; pendant end is m-1.
+    return m, [(0, 1), (0, 2), (1, 2)] + _chain([0, *range(3, m)])
+
+
+def _dumbbell(p: int, q: int, r: int) -> tuple[int, Edges]:
+    # Hubs 0 and 1 (a single hub 0 when r = 1), then the interiors of the
+    # p-cycle, the q-cycle and the joining path, in that order.
+    b = 0 if r == 1 else 1
+    first_q = b + p
+    first_path = first_q + q - 1
+    edges = _cycle_through(0, b + 1, p) + _cycle_through(b, first_q, q)
+    if r > 1:
+        edges += _chain([0, *range(first_path, first_path + r - 2), 1])
+    return p + q + r - 2, edges
+
+
+def _theta(a: int, b: int, c: int) -> tuple[int, Edges]:
+    # Hubs 0 and 1, then the interiors of the three paths in order.
+    edges: Edges = []
+    first = 2
+    for length in (a, b, c):
+        edges += _chain([0, *range(first, first + length - 2), 1])
+        first += length - 2
+    return a + b + c - 4, edges
+
+
+# theta(2,3,3) on 0..3: hubs 0 and 1 adjacent, 2 and 3 of degree two.
+_THETA_233 = [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]
+
+
+def _l_family(n: int) -> tuple[int, Edges]:
+    # Two triangles joined by a path on n-4 vertices.
+    return _dumbbell(3, 3, n - 4)
+
+
+def _a_family(n: int) -> tuple[int, Edges]:
+    # theta(2,3,3) with a path appended at the degree-two vertex 2.
+    return n, _THETA_233 + _chain([2, *range(4, n)])
+
+
+def _b_family(n: int) -> tuple[int, Edges]:
+    # theta(2,3,3) with n-4 pendant edges at the degree-three hub 0.
+    return n, _THETA_233 + [(0, i) for i in range(4, n)]
+
+
+def _r_family(n: int) -> tuple[int, Edges]:
+    # Two triangles sharing vertex 0, plus n-5 pendant edges at 0.
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
+    return n, edges + [(0, i) for i in range(5, n)]
+
+
+def _q_family(n: int) -> tuple[int, Edges]:
+    # Star with centre 0 plus one edge between the leaves 1 and 2.
+    return n, [(0, i) for i in range(1, n)] + [(1, 2)]
+
+
+class Kind(NamedTuple):
+    """One parametrised family kind."""
+
+    params: tuple[str, ...]  # parameter names, in spec order
+    lows: tuple[int, ...]  # smallest value of each parameter
+    build: Callable[..., tuple[int, Edges]]
+    count: Callable[..., int] | None = None  # closed form (one-parameter kinds)
+
+
+KINDS: dict[str, Kind] = {
+    "path": Kind(("n",), (1,), _path, lambda n: n * (n + 1) // 2),
+    "cycle": Kind(("n",), (3,), _cycle, lambda n: n * n - n + 1),
+    "star": Kind(("n",), (1,), _star, lambda n: (1 << (n - 1)) + n - 1),
+    "tadpole": Kind(("m",), (4,), _tadpole, lambda m: (m - 1) * (m + 4) // 2),
+    "dumbbell": Kind(("p", "q", "r"), (3, 3, 1), _dumbbell),
+    "typeII": Kind(("p", "q"), (3, 3), lambda p, q: _dumbbell(p, q, 1)),
+    "theta": Kind(("a", "b", "c"), (2, 3, 3), _theta),
+    "L": Kind(("n",), (5,), _l_family, lambda n: (n + 6) * (n - 1) // 2),
+    "A": Kind(("n",), (4,), _a_family, lambda n: (n * n + 7 * n - 16) // 2),
+    "B": Kind(("n",), (5,), _b_family, lambda n: n + 2 + (1 << (n - 1))),
+    "R": Kind(("n",), (6,), _r_family, lambda n: n + 1 + (1 << (n - 1))),
+    "Q": Kind(("n",), (3,), _q_family),
 }
 
-E_NAMES = ("A4", "E51", "E52", "E61", "E62", "E7", "E8")
+# Named small theta graphs, frozen as explicit edge lists so that their
+# isomorphism to the corresponding theta specs is a real check.
+_E_EDGES: dict[str, tuple[int, Edges]] = {
+    "A4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
+    "E51": (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),
+    "E52": (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)]),
+    "E61": (6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 3)]),
+    "E62": (6, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (3, 5)]),
+    "E7": (7, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 6), (6, 3)]),
+    "E8": (8, [(0, 1), (0, 4), (0, 6), (1, 2), (2, 3), (3, 5), (3, 7), (4, 5), (6, 7)]),
+}
 
-_ALIASES = {
+E_NAMES = tuple(_E_EDGES)
+
+# The theta parameters each named graph realises.
+E_THETA: dict[str, tuple[int, int, int]] = {
+    "A4": (2, 3, 3),
+    "E51": (2, 3, 4),
+    "E52": (3, 3, 3),
+    "E61": (2, 4, 4),
+    "E62": (3, 3, 4),
+    "E7": (3, 4, 4),
+    "E8": (4, 4, 4),
+}
+
+# Spec names accepted case-insensitively, with their short forms.
+_ALIASES = {kind.lower(): kind for kind in KINDS} | {
     "p": "path",
-    "path": "path",
     "c": "cycle",
-    "cycle": "cycle",
     "s": "star",
-    "star": "star",
     "d": "tadpole",
-    "tadpole": "tadpole",
-    "dumbbell": "dumbbell",
-    "typeii": "typeII",
     "type2": "typeII",
-    "theta": "theta",
-    "a": "A",
-    "l": "L",
-    "b": "B",
-    "r": "R",
-    "q": "Q",
 }
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ParameterError(message)
 
 
 @dataclass(frozen=True)
@@ -72,60 +192,26 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind in _ARITY:
-            if len(self.params) != _ARITY[self.kind]:
-                raise ParameterError(
-                    f"{self.kind} takes {_ARITY[self.kind]} parameter(s), "
-                    f"got {len(self.params)}"
-                )
-        elif self.kind in E_NAMES:
-            if self.params:
-                raise ParameterError(f"{self.kind} takes no parameters")
-        else:
+        if self.kind in E_NAMES:
+            _require(not self.params, f"{self.kind} takes no parameters")
+            return
+        if self.kind not in KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
-        _validate(self.kind, self.params)
+        row = KINDS[self.kind]
+        _require(
+            len(self.params) == len(row.params),
+            f"{self.kind} takes {len(row.params)} parameter(s), got {len(self.params)}",
+        )
+        if self.kind == "theta":
+            a, b, c = self.params
+            _require(2 <= a <= b <= c, f"theta needs 2 <= a <= b <= c, got {self.params}")
+        for name, low, value in zip(row.params, row.lows, self.params):
+            _require(value >= low, f"{self.kind} needs {name} >= {low}, got {name}={value}")
 
     def __str__(self) -> str:
         if not self.params:
             return self.kind
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ParameterError(message)
-
-
-def _validate(kind: str, params: tuple[int, ...]) -> None:
-    if kind == "path" or kind == "star":
-        _require(params[0] >= 1, f"{kind} needs n >= 1, got n={params[0]}")
-    elif kind == "cycle":
-        _require(params[0] >= 3, f"cycle needs n >= 3, got n={params[0]}")
-    elif kind == "tadpole":
-        _require(params[0] >= 4, f"tadpole needs m >= 4, got m={params[0]}")
-    elif kind == "dumbbell":
-        p, q, r = params
-        _require(p >= 3, f"dumbbell needs p >= 3, got p={p}")
-        _require(q >= 3, f"dumbbell needs q >= 3, got q={q}")
-        _require(r >= 1, f"dumbbell needs r >= 1, got r={r}")
-    elif kind == "typeII":
-        p, q = params
-        _require(p >= 3, f"typeII needs p >= 3, got p={p}")
-        _require(q >= 3, f"typeII needs q >= 3, got q={q}")
-    elif kind == "theta":
-        a, b, c = params
-        _require(2 <= a <= b <= c, f"theta needs 2 <= a <= b <= c, got {params}")
-        _require(b >= 3, f"theta needs b >= 3, got b={b}")
-    elif kind == "A":
-        _require(params[0] >= 4, f"A needs n >= 4, got n={params[0]}")
-    elif kind == "L":
-        _require(params[0] >= 5, f"L needs n >= 5, got n={params[0]}")
-    elif kind == "B":
-        _require(params[0] >= 5, f"B needs n >= 5, got n={params[0]}")
-    elif kind == "R":
-        _require(params[0] >= 6, f"R needs n >= 6, got n={params[0]}")
-    elif kind == "Q":
-        _require(params[0] > 2, f"Q needs n > 2, got n={params[0]}")
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -158,156 +244,13 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(kind, tuple(params))
 
 
-# ---------------------------------------------------------------------------
-# Constructors
-
-
-def _path_graph(n: int, label: str) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], label)
-
-
-def _cycle_graph(n: int, label: str) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], label)
-
-
-def _star_graph(n: int, label: str) -> Graph:
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)], label)
-
-
-def _tadpole_graph(m: int, label: str) -> Graph:
-    # Triangle 0-1-2, path hanging off vertex 0; pendant end is m-1.
-    edges = [(0, 1), (0, 2), (1, 2)]
-    chain = [0] + list(range(3, m))
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    return Graph.from_edges(m, edges, label)
-
-
-def _dumbbell_graph(p: int, q: int, r: int, label: str) -> Graph:
-    n = p + q + r - 2
-    a = 0
-    b = 0 if r == 1 else 1
-    nxt = max(a, b) + 1
-    edges: list[tuple[int, int]] = []
-
-    def ring(hub: int, size: int, start: int) -> int:
-        ids = [hub] + list(range(start, start + size - 1))
-        edges.extend((ids[i], ids[i + 1]) for i in range(size - 1))
-        edges.append((ids[-1], hub))
-        return start + size - 1
-
-    nxt = ring(a, p, nxt)
-    nxt = ring(b, q, nxt)
-    if r == 2:
-        edges.append((a, b))
-    elif r > 2:
-        interior = list(range(nxt, nxt + r - 2))
-        chain = [a] + interior + [b]
-        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-        nxt += r - 2
-    assert nxt == n
-    return Graph.from_edges(n, edges, label)
-
-
-def _theta_graph(a: int, b: int, c: int, label: str) -> Graph:
-    n = a + b + c - 4
-    edges: list[tuple[int, int]] = []
-    nxt = 2
-    for length in (a, b, c):
-        if length == 2:
-            edges.append((0, 1))
-            continue
-        interior = list(range(nxt, nxt + length - 2))
-        chain = [0] + interior + [1]
-        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-        nxt += length - 2
-    assert nxt == n
-    return Graph.from_edges(n, edges, label)
-
-
-def _a_family_graph(n: int, label: str) -> Graph:
-    # theta(2,3,3) on 0..3 (hubs 0 and 1 adjacent; 2 and 3 of degree two),
-    # with a path appended at the degree-two vertex 2.
-    edges = [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]
-    chain = [2] + list(range(4, n))
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    return Graph.from_edges(n, edges, label)
-
-
-def _b_family_graph(n: int, label: str) -> Graph:
-    # theta(2,3,3) on 0..3 with n-4 pendant edges at the degree-three hub 0.
-    edges = [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]
-    edges += [(0, i) for i in range(4, n)]
-    return Graph.from_edges(n, edges, label)
-
-
-def _r_family_graph(n: int, label: str) -> Graph:
-    # Two triangles sharing vertex 0, plus n-5 pendant edges at 0.
-    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
-    edges += [(0, i) for i in range(5, n)]
-    return Graph.from_edges(n, edges, label)
-
-
-def _q_family_graph(n: int, label: str) -> Graph:
-    # Star with centre 0 plus one edge between the leaves 1 and 2.
-    edges = [(0, i) for i in range(1, n)] + [(1, 2)]
-    return Graph.from_edges(n, edges, label)
-
-
-# Named small theta graphs, frozen as explicit edge lists so that their
-# isomorphism to the corresponding theta specs is a real check.
-_E_EDGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
-    "A4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
-    "E51": (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),
-    "E52": (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)]),
-    "E61": (6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 3)]),
-    "E62": (6, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (3, 5)]),
-    "E7": (7, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 6), (6, 3)]),
-    "E8": (8, [(0, 1), (0, 4), (0, 6), (1, 2), (2, 3), (3, 5), (3, 7), (4, 5), (6, 7)]),
-}
-
-# The theta parameters each named graph realises.
-E_THETA: dict[str, tuple[int, int, int]] = {
-    "A4": (2, 3, 3),
-    "E51": (2, 3, 4),
-    "E52": (3, 3, 3),
-    "E61": (2, 4, 4),
-    "E62": (3, 3, 4),
-    "E7": (3, 4, 4),
-    "E8": (4, 4, 4),
-}
-
-
 def build(spec: FamilySpec) -> Graph:
     """Construct the concrete graph of a family instance."""
-    kind, params = spec.kind, spec.params
-    label = str(spec)
-    if kind == "path":
-        return _path_graph(params[0], label)
-    if kind == "cycle":
-        return _cycle_graph(params[0], label)
-    if kind == "star":
-        return _star_graph(params[0], label)
-    if kind == "tadpole":
-        return _tadpole_graph(params[0], label)
-    if kind == "dumbbell":
-        return _dumbbell_graph(*params, label)
-    if kind == "typeII":
-        p, q = params
-        return _dumbbell_graph(p, q, 1, label)
-    if kind == "theta":
-        return _theta_graph(*params, label)
-    if kind == "A":
-        return _a_family_graph(params[0], label)
-    if kind == "L":
-        return _dumbbell_graph(3, 3, params[0] - 4, label)
-    if kind == "B":
-        return _b_family_graph(params[0], label)
-    if kind == "R":
-        return _r_family_graph(params[0], label)
-    if kind == "Q":
-        return _q_family_graph(params[0], label)
-    n, edges = _E_EDGES[kind]
-    return Graph.from_edges(n, edges, label)
+    if spec.kind in E_NAMES:
+        n, edges = _E_EDGES[spec.kind]
+    else:
+        n, edges = KINDS[spec.kind].build(*spec.params)
+    return Graph.from_edges(n, edges, str(spec))
 
 
 def closed_form(spec: FamilySpec) -> int | None:
@@ -316,34 +259,10 @@ def closed_form(spec: FamilySpec) -> int | None:
     Families without a general formula (dumbbell, typeII, theta, Q) are
     counted through the counting module instead.
     """
-    kind, params = spec.kind, spec.params
-    if kind == "path":
-        n = params[0]
-        return n * (n + 1) // 2
-    if kind == "cycle":
-        n = params[0]
-        return n * n - n + 1
-    if kind == "star":
-        n = params[0]
-        return (1 << (n - 1)) + n - 1
-    if kind == "tadpole":
-        m = params[0]
-        return (m - 1) * (m + 4) // 2
-    if kind == "L":
-        n = params[0]
-        return (n + 6) * (n - 1) // 2
-    if kind == "A":
-        n = params[0]
-        return (n * n + 7 * n - 16) // 2
-    if kind == "R":
-        n = params[0]
-        return n + 1 + (1 << (n - 1))
-    if kind == "B":
-        n = params[0]
-        return n + 2 + (1 << (n - 1))
-    if kind in E_NAMES:
-        return dict(e_graph_reference())[kind][0]
-    return None
+    if spec.kind in E_NAMES:
+        return dict(e_graph_reference())[spec.kind][0]
+    count = KINDS[spec.kind].count
+    return None if count is None else count(*spec.params)
 
 
 def e_graph_reference() -> list[tuple[str, tuple[int, int]]]:

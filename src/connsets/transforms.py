@@ -35,13 +35,14 @@ class TransformOutcome:
 
 def annotate_family(g: Graph) -> str | None:
     """Name of the named-family graph ``g`` matches, if any."""
-    from .families import E_NAMES, FamilySpec, build
+    from .families import E_NAMES, KINDS, FamilySpec, build
 
     cert = canonical_certificate(g)
-    candidates: list[FamilySpec] = []
-    for kind, lo in (("L", 5), ("A", 4), ("B", 5), ("R", 6)):
-        if g.n >= lo:
-            candidates.append(FamilySpec(kind, (g.n,)))
+    candidates = [
+        FamilySpec(kind, (g.n,))
+        for kind in ("L", "A", "B", "R")
+        if g.n >= KINDS[kind].lows[0]
+    ]
     candidates.extend(FamilySpec(name) for name in E_NAMES)
     for spec in candidates:
         built = build(spec)

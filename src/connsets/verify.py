@@ -26,7 +26,7 @@ from .counting import (
 )
 from .enumeration import enumerate_bicyclic, enumerate_trees
 from .errors import ContractViolationError
-from .families import FamilySpec, build, closed_form, e_graph_reference
+from .families import KINDS, FamilySpec, build, closed_form, e_graph_reference
 from .graphs import Graph, to_graph6
 from .transforms import annotate_family, branch_shift, glue_at
 
@@ -124,9 +124,7 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     nonempty, its cardinality must match OEIS A001429 at every tabulated
     order, and for small n its certificates must be exactly those of the
     independent labelled generator."""
-    graphs = (
-        enumerate_bicyclic(n) if cap is None else enumerate_bicyclic(n, cap=cap)
-    )
+    graphs = enumerate_bicyclic(n, cap)
     if not graphs:
         raise ContractViolationError(f"enumeration produced no graphs at n={n}")
     if n in _BICYCLIC_CLASSES and len(graphs) != _BICYCLIC_CLASSES[n]:
@@ -153,14 +151,12 @@ def verify_minimum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
     graphs = _guarded_enumeration(n, cap)
     counts = count_stream(graphs, workers)
     lo = min(counts)
-    minimisers = [g for g, c in zip(graphs, counts) if c == lo]
+    attainers = tuple(_attainer(g) for g, c in zip(graphs, counts) if c == lo)
     expected_min = (n + 6) * (n - 1) // 2
-    expected_families = ("L", "A") if n == 5 else ("L",)
-    expected_certs = sorted(
-        canonical_certificate(build(FamilySpec(k, (n,)))).text for k in expected_families
-    )
-    observed_certs = sorted(canonical_certificate(g).text for g in minimisers)
-    status = PASS if lo == expected_min and observed_certs == expected_certs else FAIL
+    # str() so that an unnamed attainer (family None) sorts and fails.
+    families = sorted(str(a["family"]) for a in attainers)
+    expected_families = ["A5", "L5"] if n == 5 else [f"L{n}"]
+    status = PASS if lo == expected_min and families == expected_families else FAIL
     return VerificationReport(
         claim="minimum",
         n_lo=n,
@@ -170,8 +166,8 @@ def verify_minimum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
             "min_formula": "(n+6)(n-1)/2",
             "minimisers": "{L5, A5}" if n == 5 else f"L{n} (unique)",
         },
-        observed={"min": lo, "minimiser_count": len(minimisers), "classes": len(graphs)},
-        attainers=tuple(_attainer(g) for g in minimisers),
+        observed={"min": lo, "minimiser_count": len(attainers), "classes": len(graphs)},
+        attainers=attainers,
         status=status,
         runtime=time.perf_counter() - t0,
     )
@@ -180,8 +176,10 @@ def verify_minimum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
 def verify_maximum(n: int, cap: int | None = None, workers: int = 1) -> VerificationReport:
     """Largest and second-largest counts over n-vertex bicyclic graphs.
 
-    Asserted for n >= 8; for 5 <= n < 8 the sweep reports what it sees
-    without judging it (the extremal statement is scoped to n >= 8).
+    Asserted for n >= 8: B_n is the unique maximiser and R_n the unique
+    runner-up, at the closed-form values.  For 5 <= n < 8 the sweep
+    reports what it sees without judging it (the extremal statement is
+    scoped to n >= 8).
     """
     if n < 5:
         raise ContractViolationError("the maximum sweep starts at n = 5")
@@ -189,51 +187,44 @@ def verify_maximum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
     graphs = _guarded_enumeration(n, cap)
     counts = count_stream(graphs, workers)
     hi = max(counts)
-    maximisers = [g for g, c in zip(graphs, counts) if c == hi]
+    attainers = tuple(_attainer(g) for g, c in zip(graphs, counts) if c == hi)
     second = max((c for c in counts if c != hi), default=0)
-    observed = {
-        "max": hi,
-        "maximiser_count": len(maximisers),
-        "second_max": second,
-        "second_attainers": sum(1 for c in counts if c == second),
-        "classes": len(graphs),
-    }
+    runners_up = [g for g, c in zip(graphs, counts) if c == second]
     if n < 8:
-        return VerificationReport(
-            claim="maximum",
-            n_lo=n,
-            n_hi=n,
-            expected={"scope": "informational below n = 8"},
-            observed=observed,
-            attainers=tuple(_attainer(g) for g in maximisers),
-            status=INFORMATIONAL,
-            notes=("the extremal statement applies from n = 8 on",),
-            runtime=time.perf_counter() - t0,
+        expected: dict[str, object] = {"scope": "informational below n = 8"}
+        status = INFORMATIONAL
+        notes: tuple[str, ...] = ("the extremal statement applies from n = 8 on",)
+    else:
+        expected = {
+            "max": n + 2 + (1 << (n - 1)),
+            "max_formula": "n+2+2^(n-1)",
+            "maximiser": f"B{n} (unique)",
+            "runner_up_bound": n + 1 + (1 << (n - 1)),
+            "runner_up_formula": "n+1+2^(n-1)",
+        }
+        holds = (
+            hi == expected["max"]
+            and [a["family"] for a in attainers] == [f"B{n}"]
+            and second == expected["runner_up_bound"]
+            and [annotate_family(g) for g in runners_up] == [f"R{n}"]
         )
-    expected_max = n + 2 + (1 << (n - 1))
-    runner_bound = n + 1 + (1 << (n - 1))
-    b_cert = canonical_certificate(build(FamilySpec("B", (n,)))).text
-    unique_b = (
-        len(maximisers) == 1
-        and canonical_certificate(maximisers[0]).text == b_cert
-    )
-    status = (
-        PASS if hi == expected_max and unique_b and second == runner_bound else FAIL
-    )
+        status = PASS if holds else FAIL
+        notes = ()
     return VerificationReport(
         claim="maximum",
         n_lo=n,
         n_hi=n,
-        expected={
-            "max": expected_max,
-            "max_formula": "n+2+2^(n-1)",
-            "maximiser": f"B{n} (unique)",
-            "runner_up_bound": runner_bound,
-            "runner_up_formula": "n+1+2^(n-1)",
+        expected=expected,
+        observed={
+            "max": hi,
+            "maximiser_count": len(attainers),
+            "second_max": second,
+            "second_attainers": len(runners_up),
+            "classes": len(graphs),
         },
-        observed=observed,
-        attainers=tuple(_attainer(g) for g in maximisers),
+        attainers=attainers,
         status=status,
+        notes=notes,
         runtime=time.perf_counter() - t0,
     )
 
@@ -284,38 +275,32 @@ _SMALL_SHAPE_ROWS = (
 )
 
 
-def verify_closed_forms(max_n: int = 16) -> VerificationReport:
+def verify_closed_forms(max_n: int = 16, cap: int | None = None) -> VerificationReport:
     """Closed forms equal the oracle for every family instance up to
-    ``max_n``; the small reference tables match exactly."""
+    ``max_n``; the small reference tables match exactly.  ``cap`` is the
+    oracle's vertex cap."""
     t0 = time.perf_counter()
     failures: list[str] = []
     checked = 0
-    for kind, lo in (
-        ("path", 1),
-        ("cycle", 3),
-        ("star", 1),
-        ("tadpole", 4),
-        ("L", 5),
-        ("A", 4),
-        ("B", 5),
-        ("R", 6),
-    ):
-        for m in range(lo, max_n + 1):
+    for kind, row in KINDS.items():
+        if row.count is None:
+            continue
+        for m in range(row.lows[0], max_n + 1):
             spec = FamilySpec(kind, (m,))
             formula = closed_form(spec)
-            actual = oracle_count(build(spec)).total
+            actual = oracle_count(build(spec), cap).total
             checked += 1
             if formula != actual:
                 failures.append(f"{spec}: formula {formula} != oracle {actual}")
     for spec, reference in _SMALL_SHAPE_ROWS:
-        actual = oracle_count(build(spec)).total
+        actual = oracle_count(build(spec), cap).total
         checked += 1
         if actual != reference:
             failures.append(f"{spec}: oracle {actual} != reference {reference}")
     for name, (reference_total, rooted_bound) in e_graph_reference():
         g = build(FamilySpec(name))
-        actual = oracle_count(g).total
-        rooted_max = max(oracle_count_rooted(g, v).value for v in range(g.n))
+        actual = oracle_count(g, cap).total
+        rooted_max = max(oracle_count_rooted(g, v, cap).value for v in range(g.n))
         checked += 1
         if actual != reference_total or rooted_max > rooted_bound:
             failures.append(
@@ -439,26 +424,26 @@ def verify_lemma_algebra(
     )
 
 
-def verify_tree_bound(max_n: int = 9) -> VerificationReport:
+def verify_tree_bound(max_n: int = 9, cap: int | None = None) -> VerificationReport:
     """Rooted counts of trees never exceed 2^(n-1); equality exactly at
-    star centres."""
+    star centres.  ``cap`` is the tree enumeration's size cap."""
     t0 = time.perf_counter()
     failures: list[str] = []
     swept = 0
     for n in range(1, max_n + 1):
-        cap = 1 << (n - 1)
-        for t in enumerate_trees(n):
+        bound = 1 << (n - 1)
+        for t in enumerate_trees(n, cap):
             degrees = t.degrees()
             for v in range(n):
                 value = tree_rooted_count(t, v).value
                 swept += 1
                 is_star_center = n <= 2 or (t.edge_count == n - 1 and degrees[v] == n - 1)
-                if value > cap:
-                    failures.append(f"{to_graph6(t)} at {v}: {value} > {cap}")
-                elif (value == cap) != is_star_center:
+                if value > bound:
+                    failures.append(f"{to_graph6(t)} at {v}: {value} > {bound}")
+                elif (value == bound) != is_star_center:
                     failures.append(
                         f"{to_graph6(t)} at {v}: equality pattern wrong "
-                        f"(value {value}, cap {cap})"
+                        f"(value {value}, bound {bound})"
                     )
     return VerificationReport(
         claim="tree_bound",

@@ -108,6 +108,16 @@ def test_verify_rejects_nonpositive_order_before_any_work(capsys, monkeypatch):
             assert code == 3 and out == "" and "--n" in err, (claim, bad)
 
 
+def test_verify_cap_reaches_tree_and_closed_form_sweeps(capsys):
+    code, out, err = run(capsys, "verify", "tree-bound", "--n", "9", "--cap", "8")
+    assert code == 4 and out == "" and "n <= 8" in err
+    code, out, err = run(capsys, "verify", "closed-forms", "--n", "12", "--cap", "10")
+    assert code == 4 and out == "" and "cap of 10" in err
+    # Raising the cap lifts the tree sweep past its default of n <= 10.
+    code, out, _ = run(capsys, "verify", "tree-bound", "--n", "11", "--cap", "11")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
 def test_transform_subcommand(capsys):
     code, out, _ = run(
         capsys,

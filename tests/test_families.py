@@ -1,5 +1,8 @@
 """Family constructors, closed forms, and the spec text syntax."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from connsets import (
@@ -183,3 +186,34 @@ def test_builds_are_reproducible_bytes():
     first = to_graph6(build(FamilySpec("L", (9,))))
     second = to_graph6(build(FamilySpec("L", (9,))))
     assert first == second == "HTPK?D@"
+
+
+def _build_pin_lines():
+    specs = [
+        (kind, (n,))
+        for kind in ("path", "cycle", "star", "tadpole", "A", "L", "B", "R", "Q")
+        for n in range(30)
+    ]
+    specs += [
+        (kind, params)
+        for kind, arity in (("dumbbell", 3), ("typeII", 2), ("theta", 3))
+        for params in itertools.product(range(9), repeat=arity)
+    ]
+    specs += [(name, ()) for name in ("A4", "E51", "E52", "E61", "E62", "E7", "E8")]
+    for kind, params in specs:
+        try:
+            spec = FamilySpec(kind, params)
+        except ParameterError:
+            yield f"{kind}{params} rejected"
+            continue
+        yield f"{spec} {to_graph6(build(spec))} {closed_form(spec)}"
+
+
+def test_family_builds_and_rejections_are_pinned():
+    # Spec text, graph6 and closed form of every instance on a parameter
+    # grid, plus the grid points the validation rejects.
+    lines = list(_build_pin_lines())
+    assert len(lines) == 1816
+    assert sum(line.endswith(" rejected") for line in lines) == 1170
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a0b7274c034c191439f397090d24c89cd7c7bac5603d830ad00818797c7f028b"

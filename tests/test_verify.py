@@ -5,6 +5,8 @@ import json
 import pytest
 
 from connsets import ContractViolationError, ResourceCapError
+from connsets.canon import canonical_certificate
+from connsets.families import FamilySpec, build
 from connsets.verify import (
     FAIL,
     INFORMATIONAL,
@@ -155,3 +157,36 @@ def test_maximum_fails_when_the_runner_up_is_off(monkeypatch):
     report = verify_mod.verify_maximum(9)
     assert report.observed["second_max"] == 265
     assert report.status == FAIL
+
+
+def test_maximum_fails_when_the_runner_up_is_not_r(monkeypatch):
+    # R_9 swaps counts with the minimiser: the runner-up value 266 keeps a
+    # single attainer, but that attainer is no longer R_9.
+    import connsets.verify as verify_mod
+
+    real = verify_mod.count_stream
+    r9 = canonical_certificate(build(FamilySpec("R", (9,))))
+
+    def swapped(graphs, workers=1):
+        counts = real(graphs, workers)
+        i = next(k for k, g in enumerate(graphs) if canonical_certificate(g) == r9)
+        j = counts.index(min(counts))
+        counts[i], counts[j] = counts[j], counts[i]
+        return counts
+
+    assert verify_mod.verify_maximum(9).status == PASS
+    monkeypatch.setattr(verify_mod, "count_stream", swapped)
+    report = verify_mod.verify_maximum(9)
+    assert report.observed["second_max"] == 266
+    assert report.observed["second_attainers"] == 1
+    assert report.status == FAIL
+
+
+def test_unnamed_attainers_fail_without_raising(monkeypatch):
+    import connsets.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "annotate_family", lambda g: None)
+    report = verify_mod.verify_minimum(5)
+    assert [a["family"] for a in report.attainers] == [None, None]
+    assert report.status == FAIL
+    assert verify_mod.verify_maximum(9).status == FAIL
