@@ -26,6 +26,7 @@ from .enumeration import (
     enumerate_bicyclic,
     enumerate_trees,
     extract_core,
+    generate_bicyclic,
     pendant_free_core,
 )
 from .errors import (
@@ -114,6 +115,7 @@ __all__ = [
     "extract_core",
     "from_edge_list",
     "from_graph6",
+    "generate_bicyclic",
     "glue_at",
     "induced_is_connected",
     "is_connected",

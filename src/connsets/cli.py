@@ -78,7 +78,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ParameterError(f"--cap must be at least 1, got {cap}")
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
+    _check_cap(args.cap)
     g = _load_graph(args)
     lines = []
     if args.root is None and args.pair is None:
@@ -123,6 +129,7 @@ def _check_workers(workers: int) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
+    _check_cap(args.cap)
     graphs = enumerate_bicyclic(args.n, args.cap)
     counts = verify_mod.count_stream(graphs, args.workers)
 
@@ -240,6 +247,7 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
+    _check_cap(args.cap)
     if args.n is not None and args.n < 1:
         raise ParameterError(f"--n must be at least 1, got {args.n}")
     claims = list(_CLAIM_RUNNERS) if args.claim == "all" else [args.claim]

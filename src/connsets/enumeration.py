@@ -6,16 +6,27 @@ Bicyclic graphs are generated constructively: every pendant-free bicyclic
 core shape (two disjoint cycles joined by a path, two cycles sharing a
 vertex, or a theta graph) of at most n vertices is built, and rooted
 forests distributing the remaining vertices over the core are attached,
-one forest per orbit of the core's automorphism group.  Each class is
-therefore generated exactly once; its canonical certificate only orders
-the output, and a repeated certificate is a contract violation.  An
+one forest per orbit of the core's automorphism group, so each class is
+generated exactly once.
+
+Two routes read this generation.  ``generate_bicyclic`` streams the
+classes in generation order and builds no certificate.
+``enumerate_bicyclic`` canonicalises every class, sorts by certificate
+and treats a repeated certificate as a contract violation, a check
+independent of the guards below.  Both routes pass every core through
+two guards that use no certificate.  The group guard: the core's listed
+automorphisms are distinct, map the core onto itself, and number the
+closed-form order of its shape's group.  The Burnside guard: the number
+of forests kept equals the number of orbits Burnside's lemma gives from
+rooted-tree counts (OEIS A000081, by Otter's recurrence).  An
 independent labelled-graph generator (see :mod:`connsets.crosscheck`)
-validates this pipeline for small n.
+validates the pipeline for small n.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -296,9 +307,11 @@ def _core_automorphisms(core: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def _with_attachments(core: Graph, extra: int) -> Iterator[Graph]:
+def _with_attachments(
+    core: Graph, extra: int, automorphisms: tuple[tuple[int, ...], ...]
+) -> Iterator[Graph]:
     """Attach ``extra`` vertices as rooted trees, one distribution per
-    isomorphism class.
+    orbit of ``automorphisms``, the core's automorphism group.
 
     A distribution is keyed by ``(sizes, shapes)``: the tree size at each
     core vertex and the index of its shape in ``_rooted_trees``, where
@@ -314,7 +327,8 @@ def _with_attachments(core: Graph, extra: int) -> Iterator[Graph]:
     """
     m = core.n
     core_edges = core.edges()
-    others = _core_automorphisms(core)[1:]
+    identity = tuple(range(m))
+    others = [sigma for sigma in automorphisms if sigma != identity]
     for sizes in _compositions(extra, m):
         images = [tuple(sizes[i] for i in sigma) for sigma in others]
         if any(img < sizes for img in images):
@@ -336,25 +350,106 @@ def _with_attachments(core: Graph, extra: int) -> Iterator[Graph]:
             yield Graph.from_edges(m + extra, edges)
 
 
-@lru_cache(maxsize=16)
-def _enumerate_bicyclic_cached(n: int) -> tuple[Graph, ...]:
-    classes: dict[Certificate, Graph] = {}
+def _rooted_tree_counts(size: int) -> list[int]:
+    """``t[j]`` rooted trees on j vertices for j <= ``size`` (OEIS
+    A000081, ``t[0] = 0``), by Otter's recurrence
+
+        (j - 1) t_j = sum_{k=1}^{j-1} (sum_{d | k} d t_d) t_{j-k}.
+    """
+    t = [0, 1]
+    weighted = [0]  # weighted[k]: sum of d * t_d over the divisors d of k
+    for j in range(2, size + 1):
+        k = j - 1
+        weighted.append(sum(d * t[d] for d in range(1, k + 1) if k % d == 0))
+        t.append(sum(weighted[i] * t[j - i] for i in range(1, j)) // k)
+    return t[: size + 1]
+
+
+def _shape_group_order(kind: str, params: tuple[int, ...]) -> int:
+    """Order of the automorphism group of a pendant-free core, from its
+    shape parameters alone.
+
+    Types I and II have the two cycle reflections, times a swap of the
+    cycles when p = q; a theta has the swap of its two hubs times every
+    permutation of equal-length paths.
+    """
+    if kind == "III":
+        order = 2
+        for length in set(params):
+            order *= math.factorial(params.count(length))
+        return order
+    p, q = params[:2]
+    return 8 if p == q else 4
+
+
+def _burnside_sum(automorphisms: tuple[tuple[int, ...], ...], extra: int) -> int:
+    """Sum over the automorphisms of the attachment keys each one fixes.
+
+    A key fixed by an automorphism puts equal trees on every vertex of
+    each of its cycles, so a cycle of length L contributes R(x^L), where
+    R(x) = sum_k t_{k+1} x^k counts rooted trees by non-root vertices;
+    the fixed keys are the coefficient of x^extra in the product.  By
+    Burnside's lemma the sum is |group| times the number of orbits.
+    """
+    t = _rooted_tree_counts(extra + 1)
+    total = 0
+    for sigma in automorphisms:
+        poly = [1] + [0] * extra
+        unseen = set(range(len(sigma)))
+        while unseen:
+            v = start = unseen.pop()
+            length = 1
+            while sigma[v] != start:
+                v = sigma[v]
+                unseen.remove(v)
+                length += 1
+            grown = [0] * (extra + 1)
+            for i, coeff in enumerate(poly):
+                if coeff:
+                    for k in range((extra - i) // length + 1):
+                        grown[i + k * length] += coeff * t[k + 1]
+            poly = grown
+        total += poly[extra]
+    return total
+
+
+def _check_group(n: int, core: Graph, automorphisms: tuple[tuple[int, ...], ...]) -> None:
+    """The listed automorphisms must be the core's whole group: distinct
+    automorphisms, as many as the closed form for its shape gives."""
+    order = _shape_group_order(*_classify_core(core))
+    if (
+        len(automorphisms) != order
+        or len(set(automorphisms)) != order
+        or any(core.relabel(sigma) != core for sigma in automorphisms)
+    ):
+        raise ContractViolationError(
+            f"n={n}: the automorphisms listed for core {core.label} are not "
+            f"its whole group of order {order} ({len(automorphisms)} listed)"
+        )
+
+
+def _guarded_stream(n: int) -> Iterator[Graph]:
+    """Each core's kept graphs, yielded once its two guards pass.
+
+    Every orbit keeps at least its least key, so the kept count is at
+    least the orbit count, with equality exactly when each class is kept
+    once.
+    """
     for core in _core_graphs(n):
-        for g in _with_attachments(core, n - core.n):
-            cert = canonical_certificate(g)
-            if cert in classes:
-                raise ContractViolationError(
-                    f"n={n}: the generator produced one class twice "
-                    f"({to_graph6(classes[cert])} and {to_graph6(g)})"
-                )
-            classes[cert] = g
-    return tuple(classes[c] for c in sorted(classes))
+        extra = n - core.n
+        automorphisms = _core_automorphisms(core)
+        _check_group(n, core, automorphisms)
+        kept = list(_with_attachments(core, extra, automorphisms))
+        fixed = _burnside_sum(automorphisms, extra)
+        if len(kept) * len(automorphisms) != fixed:
+            raise ContractViolationError(
+                f"n={n}: core {core.label} kept {len(kept)} attachment choices, "
+                f"Burnside counts {fixed}/{len(automorphisms)} orbits"
+            )
+        yield from kept
 
 
-def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
-    """One representative per isomorphism class of n-vertex bicyclic
-    graphs, in certificate order.  ``cap`` (default
-    ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed."""
+def _check_bicyclic_order(n: int, cap: int | None) -> None:
     if n < 4:
         raise ContractViolationError(
             f"bicyclic graphs have at least four vertices, got n={n}"
@@ -365,4 +460,36 @@ def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
             f"bicyclic enumeration capped at n <= {cap}, got {n}; "
             "raise the cap explicitly to proceed"
         )
+
+
+def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
+    """One representative per isomorphism class of n-vertex bicyclic
+    graphs, in generation order, with no certificate built.
+
+    The order is checked at the call; each core's representatives are
+    yielded only after its group and Burnside guards pass.  ``cap``
+    (default ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
+    """
+    _check_bicyclic_order(n, cap)
+    return _guarded_stream(n)
+
+
+@lru_cache(maxsize=16)
+def _enumerate_bicyclic_cached(n: int) -> tuple[Graph, ...]:
+    classes: dict[Certificate, Graph] = {}
+    for g in _guarded_stream(n):
+        cert = canonical_certificate(g)
+        if cert in classes:
+            raise ContractViolationError(
+                f"n={n}: the generator produced one class twice "
+                f"({to_graph6(classes[cert])} and {to_graph6(g)})"
+            )
+        classes[cert] = g
+    return tuple(classes[c] for c in sorted(classes))
+
+
+def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
+    """The classes of ``generate_bicyclic`` in certificate order; a
+    repeated certificate is a contract violation."""
+    _check_bicyclic_order(n, cap)
     return list(_enumerate_bicyclic_cached(n))

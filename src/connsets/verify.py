@@ -24,7 +24,7 @@ from .counting import (
     oracle_count_rooted,
     tree_rooted_count,
 )
-from .enumeration import enumerate_bicyclic, enumerate_trees
+from .enumeration import enumerate_bicyclic, enumerate_trees, generate_bicyclic
 from .errors import ContractViolationError
 from .families import KINDS, FamilySpec, build, closed_form, e_graph_reference
 from .graphs import Graph, to_graph6
@@ -93,6 +93,11 @@ def _attainer(g: Graph) -> dict[str, str | None]:
     }
 
 
+def _attainers(graphs) -> tuple[dict[str, str | None], ...]:
+    """Attainer records in certificate order, whatever the corpus order."""
+    return tuple(sorted(map(_attainer, graphs), key=lambda a: a["certificate"]))
+
+
 def count_stream(graphs: list[Graph], workers: int = 1) -> list[int]:
     """Exact counts for a list of graphs, optionally across processes.
 
@@ -120,11 +125,18 @@ _BICYCLIC_CLASSES = {
 
 
 def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
-    """Enumerate with the exhaustiveness guard: the stream must be
-    nonempty, its cardinality must match OEIS A001429 at every tabulated
-    order, and for small n its certificates must be exactly those of the
-    independent labelled generator."""
-    graphs = enumerate_bicyclic(n, cap)
+    """Enumerate with the exhaustiveness guards.
+
+    At every order the generator checks each core: its listed
+    automorphisms must form the whole group (order from the closed form
+    of the shape), and the forests it keeps must number the orbits that
+    Burnside's lemma counts.  Here the corpus must also be nonempty and
+    match OEIS A001429 at every tabulated order.  For n <= 8 the classes
+    come in certificate order and their certificates must be exactly
+    those of the independent labelled generator; above that they come in
+    generation order and no certificate is built.
+    """
+    graphs = enumerate_bicyclic(n, cap) if n <= 8 else list(generate_bicyclic(n, cap))
     if not graphs:
         raise ContractViolationError(f"enumeration produced no graphs at n={n}")
     if n in _BICYCLIC_CLASSES and len(graphs) != _BICYCLIC_CLASSES[n]:
@@ -151,7 +163,7 @@ def verify_minimum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
     graphs = _guarded_enumeration(n, cap)
     counts = count_stream(graphs, workers)
     lo = min(counts)
-    attainers = tuple(_attainer(g) for g, c in zip(graphs, counts) if c == lo)
+    attainers = _attainers(g for g, c in zip(graphs, counts) if c == lo)
     expected_min = (n + 6) * (n - 1) // 2
     # str() so that an unnamed attainer (family None) sorts and fails.
     families = sorted(str(a["family"]) for a in attainers)
@@ -187,7 +199,7 @@ def verify_maximum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
     graphs = _guarded_enumeration(n, cap)
     counts = count_stream(graphs, workers)
     hi = max(counts)
-    attainers = tuple(_attainer(g) for g, c in zip(graphs, counts) if c == hi)
+    attainers = _attainers(g for g, c in zip(graphs, counts) if c == hi)
     second = max((c for c in counts if c != hi), default=0)
     runners_up = [g for g, c in zip(graphs, counts) if c == second]
     if n < 8:
@@ -245,6 +257,7 @@ def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
             if value == bound:
                 equality.append((g, v))
     status = PASS if worst is not None and worst >= bound else FAIL
+    equality.sort(key=lambda case: (canonical_certificate(case[0]), case[1]))
     notes = tuple(
         f"equality at vertex {v} of {to_graph6(g)} (degree {g.degree(v)})"
         for g, v in equality

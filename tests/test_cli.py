@@ -87,11 +87,49 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
     for bad in ("0", "-1", str(os.cpu_count() + 1)):
         for argv in (("enumerate", "--n", "5"), ("verify", "min", "--n", "5")):
             code, out, err = run(capsys, *argv, "--workers", bad)
             assert code == 3 and out == "" and "--workers" in err, (argv, bad)
+
+
+def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
+    import connsets.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --cap was validated")
+
+    for name in ("_load_graph", "enumerate_bicyclic"):
+        monkeypatch.setattr(cli, name, refuse)
+    for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
+        monkeypatch.setattr(cli.verify_mod, name, refuse)
+    for bad in ("0", "-5"):
+        for argv in (
+            ("count", "--graph6", "Bw"),
+            ("enumerate", "--n", "6"),
+            ("verify", "min", "--n", "6"),
+            ("verify", "max", "--n", "9"),
+        ):
+            code, out, err = run(capsys, *argv, "--cap", bad)
+            assert code == 3 and out == "" and "--cap" in err, (argv, bad)
+
+
+def test_verify_output_does_not_depend_on_generation_order(capsys, monkeypatch):
+    # Past the labelled sweep the corpus comes in generation order;
+    # attainers and equality cases are reported in certificate order.
+    import connsets.cli as cli
+
+    real = cli.verify_mod.generate_bicyclic
+    claims = ("min", "max", "vertex-bound")
+    forward = [run(capsys, "verify", claim, "--n", "9") for claim in claims]
+    monkeypatch.setattr(
+        cli.verify_mod, "generate_bicyclic", lambda n, cap=None: reversed(list(real(n, cap)))
+    )
+    backward = [run(capsys, "verify", claim, "--n", "9") for claim in claims]
+    assert [code for code, _, _ in forward] == [0, 0, 0]
+    assert backward == forward
 
 
 def test_verify_rejects_nonpositive_order_before_any_work(capsys, monkeypatch):

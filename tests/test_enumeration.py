@@ -22,12 +22,17 @@ from connsets.crosscheck import (
 )
 from connsets import enumeration
 from connsets.enumeration import (
+    _burnside_sum,
     _classify_core,
     _core_automorphisms,
     _core_graphs,
     _enumerate_bicyclic_cached,
+    _rooted_tree_counts,
+    _rooted_trees,
+    _shape_group_order,
     _with_attachments,
     enumerate_bicyclic,
+    generate_bicyclic,
     enumerate_trees,
     extract_core,
     pendant_free_core,
@@ -126,23 +131,99 @@ def test_attachments_generate_each_class_once():
     # stream already has the A001429 length, before any dedupe.
     for n, expected in BICYCLIC_CLASSES.items():
         raw = sum(
-            sum(1 for _ in _with_attachments(core, n - core.n)) for core in _core_graphs(n)
+            sum(1 for _ in _with_attachments(core, n - core.n, _core_automorphisms(core)))
+            for core in _core_graphs(n)
         )
         assert raw == expected, n
 
 
 def test_duplicate_class_is_a_contract_violation(monkeypatch):
     # Without the core symmetries every orbit of attachments is generated
-    # whole, so the generator repeats classes and the dedupe check fires.
+    # whole, so the generator would repeat classes; the group guard sees
+    # the missing automorphisms before any certificate is compared.
     monkeypatch.setattr(
         enumeration, "_core_automorphisms", lambda core: (tuple(range(core.n)),)
     )
     _enumerate_bicyclic_cached.cache_clear()
     try:
-        with pytest.raises(ContractViolationError, match="n=6: the generator produced"):
+        with pytest.raises(
+            ContractViolationError, match="n=6: the automorphisms listed for core"
+        ):
             enumerate_bicyclic(6)
     finally:
         _enumerate_bicyclic_cached.cache_clear()
+
+
+def test_otter_recurrence_counts_the_level_sequences():
+    assert _rooted_tree_counts(12)[1:] == [len(_rooted_trees(j)) for j in range(1, 13)]
+
+
+def test_closed_form_group_order_matches_the_search():
+    for core in _core_graphs(14):
+        order = _shape_group_order(*_classify_core(core))
+        assert order == len(_core_automorphisms(core)), core.label
+
+
+def test_burnside_counts_the_kept_attachments():
+    for n in range(4, 11):
+        for core in _core_graphs(n):
+            group = _core_automorphisms(core)
+            kept = sum(1 for _ in _with_attachments(core, n - core.n, group))
+            assert _burnside_sum(group, n - core.n) == kept * len(group), (n, core.label)
+
+
+def test_burnside_reproduces_a001429():
+    a001429 = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908}
+    for n, expected in a001429.items():
+        total = 0
+        for core in _core_graphs(n):
+            group = _core_automorphisms(core)
+            orbits, rest = divmod(_burnside_sum(group, n - core.n), len(group))
+            assert rest == 0, (n, core.label)
+            total += orbits
+        assert total == expected, n
+
+
+def test_group_guard_catches_a_missing_automorphism(monkeypatch):
+    real = enumeration._core_automorphisms
+
+    def one_short(core):
+        group = real(core)
+        return group[:-1] if core.label == "typeII:3,3" else group
+
+    monkeypatch.setattr(enumeration, "_core_automorphisms", one_short)
+    with pytest.raises(
+        ContractViolationError, match="n=9: the automorphisms listed for core typeII:3,3"
+    ):
+        list(generate_bicyclic(9))
+
+
+def test_burnside_guard_catches_a_class_kept_twice(monkeypatch):
+    # Past the labelled sweep, so only the counting guards stand between
+    # the repeat and the verify sweeps.
+    import connsets.verify as verify_mod
+
+    real = enumeration._with_attachments
+
+    def repeat_first(core, extra, automorphisms):
+        graphs = list(real(core, extra, automorphisms))
+        return graphs[:1] + graphs if core.label == "dumbbell:3,4,2" else graphs
+
+    monkeypatch.setattr(enumeration, "_with_attachments", repeat_first)
+    with pytest.raises(ContractViolationError, match="n=9: core dumbbell:3,4,2 kept"):
+        list(generate_bicyclic(9))
+    with pytest.raises(ContractViolationError, match="n=9: core dumbbell:3,4,2 kept"):
+        verify_mod.verify_minimum(9)
+
+
+def test_stream_and_certificate_view_hold_the_same_graphs():
+    for n in (6, 9):
+        streamed = list(generate_bicyclic(n))
+        assert sorted(streamed, key=canonical_certificate) == enumerate_bicyclic(n)
+    with pytest.raises(ContractViolationError):
+        generate_bicyclic(3)
+    with pytest.raises(ResourceCapError):
+        generate_bicyclic(12)
 
 
 def test_bicyclic_representatives_are_pinned():

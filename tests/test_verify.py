@@ -119,13 +119,46 @@ def test_exhaustiveness_guard_catches_broken_enumeration(monkeypatch):
 
 def test_exhaustiveness_guard_covers_orders_past_the_labelled_sweep(monkeypatch):
     import connsets.verify as verify_mod
-    from connsets.enumeration import enumerate_bicyclic as real
+    from connsets.enumeration import generate_bicyclic as real
 
     monkeypatch.setattr(
-        verify_mod, "enumerate_bicyclic", lambda n, cap=None: real(n)[:-1]
+        verify_mod, "generate_bicyclic", lambda n, cap=None: list(real(n))[:-1]
     )
     with pytest.raises(ContractViolationError):
         verify_mod.verify_minimum(9)
+
+
+def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
+    # Ties are forced so that several graphs attain the minimum and several
+    # vertices meet the rooted bound; reversing the stream must not move them.
+    from types import SimpleNamespace
+
+    import connsets.verify as verify_mod
+
+    real_counts = verify_mod.count_stream
+    real_rooted = verify_mod.oracle_count_rooted
+    real_stream = verify_mod.generate_bicyclic
+
+    def tied_counts(graphs, workers=1):
+        counts = real_counts(graphs, workers)
+        third = sorted(set(counts))[2]
+        return [max(c, third) for c in counts]
+
+    def tied_rooted(g, v, cap=None):
+        value = real_rooted(g, v, cap).value
+        return SimpleNamespace(value=g.n + 3 if value == g.n + 4 else value)
+
+    monkeypatch.setattr(verify_mod, "count_stream", tied_counts)
+    monkeypatch.setattr(verify_mod, "oracle_count_rooted", tied_rooted)
+    forward = (verify_mod.verify_minimum(9), verify_mod.verify_vertex_bound(9))
+    monkeypatch.setattr(
+        verify_mod, "generate_bicyclic", lambda n, cap=None: reversed(list(real_stream(n, cap)))
+    )
+    backward = (verify_mod.verify_minimum(9), verify_mod.verify_vertex_bound(9))
+    assert backward == forward
+    for report in forward:
+        certificates = [a["certificate"] for a in report.attainers]
+        assert len(set(certificates)) > 1 and certificates == sorted(certificates)
 
 
 def test_exhaustiveness_guard_compares_class_lists(monkeypatch):
