@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .counting import oracle_count, oracle_count_pair, oracle_count_rooted, smart_count
+from .counting import oracle_count_pair, oracle_count_rooted, smart_count
 from .enumeration import enumerate_bicyclic, extract_core
 from .errors import (
     ContractViolationError,
@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     ResourceCapError,
 )
-from .families import FamilySpec, build, closed_form, parse_family_spec
+from .families import build, closed_form, parse_family_spec
 from .graphs import Graph, from_edge_list, from_graph6, mask_of, to_graph6
 from .canon import canonical_certificate
 from .transforms import branch_shift, cycle_to_tadpole, part_to_q, subtree_to_star
@@ -88,9 +88,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     lines = []
     if args.root is None and args.pair is None:
-        counter = smart_count if args.method == "smart" else oracle_count
-        result = counter(g, args.cap)
-        lines.append(str(result.total))
+        lines.append(str(smart_count(g, args.cap).total))
     if args.root is not None:
         lines.append(str(oracle_count_rooted(g, args.root, args.cap).value))
     if args.pair is not None:
@@ -104,20 +102,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    _check_cap(args.cap)
     spec = parse_family_spec(args.spec)
     g = build(spec)
     lines = [to_graph6(g)]
     if args.count:
         formula = closed_form(spec)
-        total = formula if formula is not None else oracle_count(g, args.cap).total
+        total = formula if formula is not None else smart_count(g, args.cap).total
         lines.append(str(total))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 _WORKERS_HELP = (
-    "count in this many processes (default 1); the pool is slower than "
-    "serial counting on corpora up to n = 10"
+    "count in this many processes (default 1); two workers ran at 0.7-0.8 "
+    "times serial speed at n = 10 and at 1.9 times at n = 12"
 )
 
 
@@ -276,8 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_count)
     p_count.add_argument("--root", type=int, help="also count through this vertex")
     p_count.add_argument("--pair", help="count through both of u,v")
-    p_count.add_argument("--method", choices=("oracle", "smart"), default="oracle")
-    p_count.add_argument("--cap", type=int, help="vertex cap for exact enumeration")
+    p_count.add_argument(
+        "--cap", type=int, help="largest block, other than a cycle, counted by "
+        "enumeration (default 24); --root and --pair enumerate the whole graph",
+    )
     p_count.add_argument("--out", help="write output here instead of stdout")
     p_count.set_defaults(func=_cmd_count)
 

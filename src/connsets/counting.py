@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from .errors import ContractViolationError, ResourceCapError
-from .families import FamilySpec, closed_form
-from .graphs import Graph, bits, components, delete_vertices, is_connected, subgraph
+from .graphs import Graph, bits, components, is_connected, subgraph
 
 DEFAULT_ORACLE_CAP = 24
 
@@ -179,62 +180,121 @@ def tree_rooted_count(t: Graph, v: int) -> RootedCount:
     return RootedCount(v, _tree_down(t, v)[v])
 
 
-def _smart_total(g: Graph, cap: int | None) -> int:
-    return sum(
-        _smart_connected(subgraph(g, comp)[0], cap)
-        for comp in components(g, g.vertex_mask)
-    )
-
-
-def _smart_connected(g: Graph, cap: int | None) -> int:
-    if g.edge_count == g.n - 1:
-        return sum(_tree_down(g, 0))
-    split = _best_cut_split(g)
-    if split is not None:
-        u, parts = split
-        total, rooted = 1, 1
-        for part in parts:
-            piece, index_map = subgraph(g, part | 1 << u)
-            pu = index_map.index(u)
-            part_total = _smart_connected(piece, cap)
-            rest, _ = delete_vertices(piece, 1 << pu)
-            part_rooted = part_total - _smart_total(rest, cap)
-            total, rooted = combine_identified(total, rooted, part_total, part_rooted)
-        return total
-    if g.edge_count == g.n:
-        return closed_form(FamilySpec("cycle", (g.n,)))
-    return oracle_count(g, cap).total
-
-
-def _best_cut_split(g: Graph) -> tuple[int, list[int]] | None:
-    """Cut vertex whose removal leaves the largest smallest component,
-    ties broken by lowest id; None when 2-connected."""
-    best: tuple[int, int, list[int]] | None = None
-    for v in range(g.n):
-        rest = g.vertex_mask & ~(1 << v)
-        parts = components(g, rest)
-        if len(parts) < 2:
+def _blocks(g: Graph) -> list[tuple[int, int]]:
+    """Blocks as (vertex mask, head), by iterative Tarjan over a vertex
+    stack.  A block's head is its vertex nearest the DFS root, and every
+    block below one of its other vertices comes earlier in the list."""
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[tuple[int, int]] = []
+    for r in range(g.n):
+        if r in disc:
             continue
-        smallest = min(p.bit_count() for p in parts)
-        if best is None or smallest > best[0]:
-            best = (smallest, v, parts)
-    if best is None:
-        return None
-    return best[1], best[2]
+        disc[r] = low[r] = len(disc)
+        path, stack = [r], [(r, -1, bits(g.adj[r]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for u in nbrs:
+                if u not in disc:
+                    disc[u] = low[u] = len(disc)
+                    path.append(u)
+                    stack.append((u, v, bits(g.adj[u])))
+                    break
+                # The edge back to the parent keeps low[v] >= disc[parent].
+                low[v] = min(low[v], disc[u])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        block = 1 << parent
+                        while not block >> v & 1:
+                            block |= 1 << path.pop()
+                        blocks.append((block, parent))
+    return blocks
+
+
+def _weighted_subsets(
+    adj: tuple[int, ...], weight: list[int], head: int
+) -> tuple[int, int]:
+    """Sums of the weight products of the connected sets of a connected
+    graph, split by whether the set avoids or contains ``head``.
+
+    The oracle's include/exclude search, carrying the product along.
+    """
+    sums = [0, 0]
+    for v in range(len(adj)):
+        seen = (2 << v) - 1
+        ext = adj[v] & ~seen
+        stack = [(1 << v, ext, seen | ext, weight[v])]
+        while stack:
+            s, ext, seen, prod = stack.pop()
+            sums[s >> head & 1] += prod
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                u = low.bit_length() - 1
+                grow = adj[u] & ~seen
+                stack.append((s | low, ext | grow, seen | grow, prod * weight[u]))
+    return sums[0], sums[1]
+
+
+def _block_sums(
+    g: Graph, block: int, head: int, w: list[int], cap: int | None
+) -> tuple[int, int]:
+    """Sums over the connected subsets of one block, of the product of
+    ``w`` over their vertices other than ``head``: (avoiding, through) it.
+
+    Bridges and cycles sum over their arcs in linear time; any other
+    block is enumerated, under ``cap``.
+    """
+    size = block.bit_count()
+    if size > 2 and sum((g.adj[v] & block).bit_count() for v in bits(block)) > 2 * size:
+        piece, index = subgraph(g, block)
+        _check_cap(piece, cap)
+        weight = [1 if v == head else w[v] for v in index]
+        return _weighted_subsets(piece.adj, weight, index.index(head))
+    arc, prev, v = [], head, (g.adj[head] & block).bit_length() - 1
+    while v != head:
+        arc.append(w[v])
+        step = g.adj[v] & block & ~(1 << prev)
+        prev, v = v, step.bit_length() - 1 if step else head
+    avoid = run = 0
+    for x in arc:
+        run = x * (1 + run)
+        avoid += run
+    # Through head: a run from each side leaving a gap between them, or all.
+    right = list(accumulate(arc, mul, initial=1))
+    left = list(accumulate(accumulate(reversed(arc), mul, initial=1)))
+    k = len(arc)
+    return avoid, right[k] + sum(right[b] * left[k - 1 - b] for b in range(k))
+
+
+def _smart_total(g: Graph, cap: int | None) -> int:
+    """Sum over the blocks, leaves first.  ``w[v]`` becomes the number of
+    connected sets through ``v`` inside the blocks headed by ``v`` and
+    those below them.  A set through a DFS root is counted by the root's
+    weight; any other set meets one highest block without its head and is
+    counted there."""
+    w = [1] * g.n
+    total = below = 0
+    for block, head in _blocks(g):
+        avoid, through = _block_sums(g, block, head, w, cap)
+        total += avoid
+        w[head] *= through
+        below |= block & ~(1 << head)
+    return total + sum(w[r] for r in range(g.n) if not below >> r & 1)
 
 
 def smart_count(g: Graph, cap: int | None = None) -> CountResult:
-    """Exact count by cut-vertex decomposition.
+    """Exact count by cut-vertex decomposition, summed over components.
 
-    Connected input only.  Trees go to the tree recursion; otherwise the
-    graph is split at cut vertices, and each 2-connected block is counted
-    by the cycle closed form when it is a cycle and by the oracle
-    otherwise.  Always equals ``oracle_count`` where both run.
+    One pass over the blocks (2-connected pieces and bridges), leaves
+    first: each cut vertex carries the count of the sets hanging below it
+    through it, and each block is summed once with those weights.  Bridges
+    and cycles take linear time; other blocks are enumerated like the
+    oracle, under ``cap``.  Always equals ``oracle_count`` where both run.
     """
-    if not is_connected(g):
-        raise ContractViolationError(
-            "smart_count requires a connected graph; sum over components instead"
-        )
     t0 = time.perf_counter()
-    total = _smart_connected(g, cap)
+    total = _smart_total(g, cap)
     return CountResult(total, "decomposition", time.perf_counter() - t0)

@@ -474,8 +474,10 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     return _guarded_stream(n)
 
 
-@lru_cache(maxsize=16)
-def _enumerate_bicyclic_cached(n: int) -> tuple[Graph, ...]:
+def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
+    """The classes of ``generate_bicyclic`` in certificate order; a
+    repeated certificate is a contract violation."""
+    _check_bicyclic_order(n, cap)
     classes: dict[Certificate, Graph] = {}
     for g in _guarded_stream(n):
         cert = canonical_certificate(g)
@@ -485,11 +487,4 @@ def _enumerate_bicyclic_cached(n: int) -> tuple[Graph, ...]:
                 f"({to_graph6(classes[cert])} and {to_graph6(g)})"
             )
         classes[cert] = g
-    return tuple(classes[c] for c in sorted(classes))
-
-
-def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
-    """The classes of ``generate_bicyclic`` in certificate order; a
-    repeated certificate is a contract violation."""
-    _check_bicyclic_order(n, cap)
-    return list(_enumerate_bicyclic_cached(n))
+    return [classes[c] for c in sorted(classes)]

@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from connsets import cycle_to_tadpole, subtree_to_star
 from connsets.cli import main
-from connsets.graphs import from_graph6
+from connsets.counting import oracle_count
+from connsets.families import build, parse_family_spec
+from connsets.graphs import MAX_VERTICES, Graph, from_graph6, mask_of, to_graph6
 
 
 def run(capsys, *argv):
@@ -28,14 +31,58 @@ def test_count_rooted_and_pair(capsys):
 
 
 def test_count_methods_agree(capsys):
-    _, oracle_out, _ = run(capsys, "count", "--family", "L:9")
-    _, smart_out, _ = run(capsys, "count", "--family", "L:9", "--method", "smart")
-    assert oracle_out == smart_out == "60\n"
-    # Past the default oracle cap, both methods honour an explicit --cap.
-    big = ("count", "--family", "theta:10,10,10", "--cap", "30")
-    _, oracle_out, _ = run(capsys, *big)
-    code, smart_out, _ = run(capsys, *big, "--method", "smart")
-    assert code == 0 and oracle_out == smart_out == "5563\n"
+    # Within --cap the oracle counts; past it the cut-vertex decomposition
+    # does, with the cap bounding each 2-connected block.
+    expected = {
+        ("L:9",): 60,
+        ("theta:10,10,10", "--cap", "30"): 5563,
+        ("path:60",): 1830,
+        ("B:40",): 40 + 2 + 2**39,
+        ("B:100",): 100 + 2 + 2**99,
+        ("star:24", "--cap", "10"): 2**23 + 23,
+    }
+    for (spec, *cap), total in expected.items():
+        code, out, err = run(capsys, "count", "--family", spec, *cap)
+        assert (code, out, err) == (0, f"{total}\n", ""), spec
+    code, out, _ = run(capsys, "family", "B:100", "--count")
+    assert code == 0 and out.splitlines()[1] == str(100 + 2 + 2**99)
+    code, out, _ = run(capsys, "family", "dumbbell:30,30,2", "--count")
+    assert code == 0 and out.splitlines()[1] == "191838"
+
+
+def test_count_cap_bounds_each_block_past_the_graph(capsys):
+    # theta:10,10,10 is one 26-vertex block; a pendant vertex makes 27.
+    theta = build(parse_family_spec("theta:10,10,10"))
+    g = Graph.from_edges(27, theta.edges() + [(0, 26)])
+    code, out, _ = run(capsys, "count", "--graph6", to_graph6(g), "--cap", "26")
+    assert (code, out) == (0, f"{oracle_count(g, 27).total}\n")
+    code, out, err = run(capsys, "count", "--graph6", to_graph6(g))
+    assert (code, out) == (4, "") and "over 26 vertices exceeds the cap of 24" in err
+    code, out, _ = run(capsys, "family", "theta:10,10,10", "--count", "--cap", "26")
+    assert code == 0 and out.splitlines()[1] == "5563"
+
+
+def test_count_at_the_vertex_ceiling(capsys):
+    n = MAX_VERTICES
+    code, out, _ = run(capsys, "count", "--family", f"path:{n}")
+    assert (code, out) == (0, f"{n * (n + 1) // 2}\n")
+    spec = f"dumbbell:3,3,{n - 4}"
+    code, out, _ = run(capsys, "family", spec, "--count")
+    assert code == 0 and from_graph6(out.split()[0]) == build(parse_family_spec(spec))
+    code, _, err = run(capsys, "count", "--family", f"path:{n + 1}")
+    assert code == 3 and f"1..{n}" in err
+
+
+def test_count_out_writes_the_stdout_bytes(tmp_path, capsys):
+    target = tmp_path / "count.txt"
+    for argv in (
+        ("--family", "L:9"),
+        ("--family", "path:30"),
+        ("--graph6", "Bw", "--root", "0"),
+    ):
+        _, expected, _ = run(capsys, "count", *argv)
+        code, out, _ = run(capsys, "count", *argv, "--out", str(target))
+        assert code == 0 and out == "" and target.read_text() == expected, argv
 
 
 def test_family_build_and_count(capsys):
@@ -101,13 +148,15 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --cap was validated")
 
-    for name in ("_load_graph", "enumerate_bicyclic"):
+    for name in ("_load_graph", "build", "enumerate_bicyclic"):
         monkeypatch.setattr(cli, name, refuse)
     for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
         monkeypatch.setattr(cli.verify_mod, name, refuse)
     for bad in ("0", "-5"):
         for argv in (
             ("count", "--graph6", "Bw"),
+            ("family", "theta:2,3,4", "--count"),
+            ("family", "L:9", "--count"),
             ("enumerate", "--n", "6"),
             ("verify", "min", "--n", "6"),
             ("verify", "max", "--n", "9"),
@@ -174,6 +223,32 @@ def test_transform_subcommand(capsys):
     assert from_graph6(payload["result_graph6"]).n == 7
 
 
+def test_transform_json_equals_the_library_call(capsys):
+    # The two surgeries of the walkthrough demo, through the CLI.
+    def payload(outcome):
+        return {
+            "result_graph6": to_graph6(outcome.result),
+            "predicted_delta": outcome.predicted_delta,
+            "applied": outcome.applied,
+            "family": outcome.family_name,
+        }
+
+    g = build(parse_family_spec("typeII:4,4"))
+    code, out, _ = run(
+        capsys, "transform", "cycle-to-tadpole", "--family", "typeII:4,4",
+        "--cycle", "0,4,5,6", "--anchor", "0",
+    )
+    assert code == 0
+    assert json.loads(out) == payload(cycle_to_tadpole(g, mask_of([0, 4, 5, 6]), 0))
+    g = Graph.from_edges(
+        8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6), (6, 7)]
+    )
+    code, out, _ = run(
+        capsys, "transform", "subtree-to-star", "--graph6", to_graph6(g), "--root", "4"
+    )
+    assert code == 0 and json.loads(out) == payload(subtree_to_star(g, 4))
+
+
 def test_transform_needs_site(capsys):
     code, _, err = run(capsys, "transform", "cycle-to-tadpole", "--family", "typeII:3,4")
     assert code == 3 and "--cycle" in err
@@ -232,8 +307,9 @@ def test_files_round_trip(tmp_path, capsys):
 
 def test_exit_codes():
     assert main(["family", "L:4"]) == 3
-    assert main(["count", "--family", "path:30"]) == 4
+    assert main(["count", "--family", "theta:10,10,10"]) == 4
     assert main(["count", "--graph6", "####"]) == 5
+    assert main(["count", "--family", "A:4", "--pair", "0"]) == 5
     assert main(["count", "--file", "/nonexistent/path"]) == 5
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--graph6", "Bw", "--unknown-flag"])
@@ -241,6 +317,26 @@ def test_exit_codes():
     with pytest.raises(SystemExit) as excinfo:
         main(["nonsense"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["count", "--family", "L:9", "--method", "smart"])
+    assert excinfo.value.code == 2
+
+
+def test_failed_verify_exits_1_and_names_the_claim(capsys, monkeypatch):
+    # The runner-up lowered by one, as in the report-level test.
+    import connsets.cli as cli
+
+    real = cli.verify_mod.count_stream
+
+    def lowered(graphs, workers=1):
+        counts = real(graphs, workers)
+        second = sorted(set(counts))[-2]
+        return [c - 1 if c == second else c for c in counts]
+
+    monkeypatch.setattr(cli.verify_mod, "count_stream", lowered)
+    code, out, err = run(capsys, "verify", "max", "--n", "8")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    assert "FAILED: maximum at n=8" in err
 
 
 def test_identical_invocations_identical_bytes(capsys):

@@ -21,6 +21,7 @@ from connsets import (
 )
 from connsets.enumeration import enumerate_bicyclic, enumerate_trees
 from connsets.families import FamilySpec, build, closed_form
+from connsets.graphs import MAX_VERTICES
 
 from conftest import (
     cycle_graph,
@@ -175,8 +176,9 @@ def test_smart_count_methods():
     assert smart_count(cycle_graph(6)).method == "decomposition"
     assert smart_count(star_graph(6)).method == "decomposition"
     assert smart_count(build(FamilySpec("L", (8,)))).method == "decomposition"
-    with pytest.raises(ContractViolationError):
-        smart_count(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # A disconnected graph counts as the sum of its components.
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert smart_count(two_edges).total == oracle_count(two_edges).total == 6
 
 
 def test_smart_count_past_the_oracle_cap():
@@ -186,6 +188,35 @@ def test_smart_count_past_the_oracle_cap():
     assert smart_count(path_graph(60)).total == 1830
     for spec in (FamilySpec("B", (40,)), FamilySpec("star", (40,))):
         assert smart_count(build(spec)).total == closed_form(spec)
+    # At the vertex ceiling, for every family with a closed form.
+    for kind in ("path", "cycle", "star", "tadpole", "L", "A", "B", "R"):
+        spec = FamilySpec(kind, (MAX_VERTICES,))
+        assert smart_count(build(spec)).total == closed_form(spec), kind
+
+
+def test_smart_count_sums_each_block_once(monkeypatch):
+    # A path of k spine vertices with a triangle hung at each: 2k - 1
+    # blocks.  Splitting at cut vertices and counting each side with and
+    # without the cut vertex visited 2^k pieces here.  Sets through a run
+    # of the spine choose one of 4 triangle parts per spine vertex; sets
+    # off the spine are the 3 inside one triangle.
+    import connsets.counting as counting
+
+    k = 20
+    edges = [(3 * t, 3 * t + 3) for t in range(k - 1)]
+    edges += [e for t in range(k) for e in ((3 * t, 3 * t + 1), (3 * t, 3 * t + 2))]
+    edges += [(3 * t + 1, 3 * t + 2) for t in range(k)]
+    g = Graph.from_edges(3 * k, edges)
+    real, calls = counting._block_sums, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_block_sums", counted)
+    expected = 3 * k + sum((k - run + 1) * 4**run for run in range(1, k + 1))
+    assert smart_count(g).total == expected
+    assert len(calls) == len(set(calls)) == 2 * k - 1
 
 
 def test_smart_count_equals_oracle_everywhere():
@@ -199,6 +230,20 @@ def test_smart_count_equals_oracle_everywhere():
     for n in range(1, 9):
         for t in enumerate_trees(n):
             assert smart_count(t).total == oracle_count(t).total
+    # Disconnected graphs, and blocks of every kind glued at cut vertices,
+    # so that weighted non-cycle blocks sit above other blocks.
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 12))
+        assert smart_count(g).total == oracle_count(g).total
+    for _ in range(60):
+        n, edges = 1, []
+        for _ in range(rng.randint(1, 5)):
+            new = [rng.randrange(n), *range(n, n + rng.randint(1, 3))]
+            n += len(new) - 1
+            edges += [(a, b) for i, b in enumerate(new) for a in new[:i]
+                      if a == new[i - 1] or rng.random() < 0.6]
+        g = Graph.from_edges(n, edges)
+        assert smart_count(g).total == oracle_count(g).total
 
 
 def test_monotone_under_edge_addition():

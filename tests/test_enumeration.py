@@ -26,7 +26,6 @@ from connsets.enumeration import (
     _classify_core,
     _core_automorphisms,
     _core_graphs,
-    _enumerate_bicyclic_cached,
     _rooted_tree_counts,
     _rooted_trees,
     _shape_group_order,
@@ -144,14 +143,22 @@ def test_duplicate_class_is_a_contract_violation(monkeypatch):
     monkeypatch.setattr(
         enumeration, "_core_automorphisms", lambda core: (tuple(range(core.n)),)
     )
-    _enumerate_bicyclic_cached.cache_clear()
-    try:
-        with pytest.raises(
-            ContractViolationError, match="n=6: the automorphisms listed for core"
-        ):
-            enumerate_bicyclic(6)
-    finally:
-        _enumerate_bicyclic_cached.cache_clear()
+    with pytest.raises(
+        ContractViolationError, match="n=6: the automorphisms listed for core"
+    ):
+        enumerate_bicyclic(6)
+
+
+def test_repeated_certificate_is_a_contract_violation(monkeypatch):
+    # The certificate view is a second route past the guards: a stream
+    # that passes them but yields one class twice is still caught.
+    first = next(generate_bicyclic(6))
+    twin = first.relabel(tuple(reversed(range(first.n))))
+    assert to_graph6(twin) != to_graph6(first)
+    monkeypatch.setattr(enumeration, "_guarded_stream", lambda n: iter([first, twin]))
+    with pytest.raises(ContractViolationError, match="produced one class twice") as info:
+        enumerate_bicyclic(6)
+    assert to_graph6(first) in str(info.value) and to_graph6(twin) in str(info.value)
 
 
 def test_otter_recurrence_counts_the_level_sequences():

@@ -20,6 +20,7 @@ from connsets import (
     to_graph6,
 )
 from connsets.families import FamilySpec, build
+from connsets.graphs import MAX_VERTICES
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 
@@ -36,7 +37,7 @@ def test_construction_validates_simplicity():
     with pytest.raises(ContractViolationError):
         Graph(0, ())
     with pytest.raises(ContractViolationError):
-        Graph(65, tuple(0 for _ in range(65)))
+        Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1))
 
 
 def test_label_does_not_affect_equality():
@@ -158,7 +159,7 @@ def test_graph6_round_trip_random():
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 12))
         assert from_graph6(to_graph6(g)) == g
-    for n in (62, 63, 64):
+    for n in (62, 63, 64, 65, 100, 300):
         g = path_graph(n)
         assert from_graph6(to_graph6(g)) == g
 
