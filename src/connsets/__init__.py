@@ -47,6 +47,7 @@ from .families import (
 from .graphs import (
     Graph,
     bits,
+    blocks,
     components,
     cut_vertices,
     delete_vertices,
@@ -98,6 +99,7 @@ __all__ = [
     "TransformOutcome",
     "VerificationReport",
     "bits",
+    "blocks",
     "branch_shift",
     "build",
     "canonical_certificate",

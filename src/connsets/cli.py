@@ -4,7 +4,7 @@ Subcommands
 -----------
 
 ``count``      exact counts for one graph (totals, rooted, pairs)
-``family``     build a named family instance, print graph6 and counts
+``family``     build a named family instance, print graph6 and, on request, its count
 ``enumerate``  stream all n-vertex bicyclic graphs with their counts
 ``transform``  apply one of the named surgeries to a graph
 ``verify``     run a claim sweep and emit a machine-readable report
@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import verify as verify_mod
-from .counting import oracle_count_pair, oracle_count_rooted, smart_count
+from .counting import DEFAULT_ORACLE_CAP, oracle_count_pair, oracle_count_rooted, smart_count
 from .enumeration import enumerate_bicyclic, extract_core
 from .errors import (
     ContractViolationError,
@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     ResourceCapError,
 )
-from .families import build, closed_form, parse_family_spec
+from .families import build, parse_family_spec
 from .graphs import Graph, from_edge_list, from_graph6, mask_of, to_graph6
 from .canon import canonical_certificate
 from .transforms import branch_shift, cycle_to_tadpole, part_to_q, subtree_to_star
@@ -103,16 +103,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     _check_cap(args.cap)
-    spec = parse_family_spec(args.spec)
-    g = build(spec)
+    g = build(parse_family_spec(args.spec))
     lines = [to_graph6(g)]
     if args.count:
-        formula = closed_form(spec)
-        total = formula if formula is not None else smart_count(g, args.cap).total
-        lines.append(str(total))
+        lines.append(str(smart_count(g, args.cap).total))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
+
+_CAP_HELP = (
+    f"largest block, other than a cycle, counted by enumeration (default {DEFAULT_ORACLE_CAP})"
+)
 
 _WORKERS_HELP = (
     "count in this many processes (default 1); two workers ran at 0.7-0.8 "
@@ -225,7 +226,7 @@ _CLAIM_RUNNERS = {
         for n in _span(args, default_lo=4, default_hi=9)
     ],
     "closed-forms": lambda args: [
-        verify_mod.verify_closed_forms(16 if args.n is None else args.n, args.cap)
+        verify_mod.verify_closed_forms(**_order(args), cap=args.cap)
     ],
     "lemmas": lambda args: [
         verify_mod.verify_lemma_algebra(
@@ -233,9 +234,14 @@ _CLAIM_RUNNERS = {
         )
     ],
     "tree-bound": lambda args: [
-        verify_mod.verify_tree_bound(9 if args.n is None else args.n, args.cap)
+        verify_mod.verify_tree_bound(**_order(args), cap=args.cap)
     ],
 }
+
+
+def _order(args: argparse.Namespace) -> dict[str, int]:
+    """``--n`` as a sweep's top order, passed only when given."""
+    return {} if args.n is None else {"max_n": args.n}
 
 
 def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
@@ -276,16 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--root", type=int, help="also count through this vertex")
     p_count.add_argument("--pair", help="count through both of u,v")
     p_count.add_argument(
-        "--cap", type=int, help="largest block, other than a cycle, counted by "
-        "enumeration (default 24); --root and --pair enumerate the whole graph",
+        "--cap", type=int,
+        help=_CAP_HELP + "; --root and --pair enumerate the whole graph",
     )
     p_count.add_argument("--out", help="write output here instead of stdout")
     p_count.set_defaults(func=_cmd_count)
 
     p_family = sub.add_parser("family", help="build a named family instance")
     p_family.add_argument("spec", help="family spec, e.g. L:9 or dumbbell:3,4,2")
-    p_family.add_argument("--count", action="store_true", help="also print the count")
-    p_family.add_argument("--cap", type=int)
+    p_family.add_argument(
+        "--count", action="store_true", help="also print what count --family prints"
+    )
+    p_family.add_argument("--cap", type=int, help=_CAP_HELP)
     p_family.add_argument("--out", help="write output here instead of stdout")
     p_family.set_defaults(func=_cmd_family)
 

@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import ContractViolationError, ResourceCapError
-from .graphs import Graph, bits, components, is_connected, subgraph
+from .graphs import Graph, bits, blocks, components, is_connected, subgraph
 
 DEFAULT_ORACLE_CAP = 24
 
@@ -51,7 +51,8 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 
 
 def _connected_subsets(adj: tuple[int, ...], domain: int, required: int = 0) -> int:
-    """Count nonempty connected subsets of ``domain`` containing ``required``.
+    """Count nonempty connected subsets of ``domain`` containing ``required``
+    (zero when no connected set of ``domain`` contains it).
 
     Include/exclude branching: each set grows from its lowest vertex (the
     lowest required vertex when ``required`` is set) by taking one vertex
@@ -101,10 +102,7 @@ def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount
     if not 0 <= v < g.n:
         raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
     _check_cap(g, cap)
-    for comp in components(g, g.vertex_mask):
-        if comp >> v & 1:
-            return RootedCount(v, _connected_subsets(g.adj, comp, 1 << v))
-    raise AssertionError("unreachable: every vertex lies in a component")
+    return RootedCount(v, _connected_subsets(g.adj, g.vertex_mask, 1 << v))
 
 
 def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
@@ -115,12 +113,7 @@ def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
         if not 0 <= w < g.n:
             raise ContractViolationError(f"vertex {w} out of range for n={g.n}")
     _check_cap(g, cap)
-    for comp in components(g, g.vertex_mask):
-        if comp >> u & 1:
-            if not comp >> v & 1:
-                return 0
-            return _connected_subsets(g.adj, comp, 1 << u | 1 << v)
-    raise AssertionError("unreachable")
+    return _connected_subsets(g.adj, g.vertex_mask, 1 << u | 1 << v)
 
 
 def combine_identified(n1: int, r1: int, n2: int, r2: int) -> tuple[int, int]:
@@ -178,40 +171,6 @@ def tree_rooted_count(t: Graph, v: int) -> RootedCount:
     if t.edge_count != t.n - 1 or not is_connected(t):
         raise ContractViolationError("tree recursion requires a tree input")
     return RootedCount(v, _tree_down(t, v)[v])
-
-
-def _blocks(g: Graph) -> list[tuple[int, int]]:
-    """Blocks as (vertex mask, head), by iterative Tarjan over a vertex
-    stack.  A block's head is its vertex nearest the DFS root, and every
-    block below one of its other vertices comes earlier in the list."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    blocks: list[tuple[int, int]] = []
-    for r in range(g.n):
-        if r in disc:
-            continue
-        disc[r] = low[r] = len(disc)
-        path, stack = [r], [(r, -1, bits(g.adj[r]))]
-        while stack:
-            v, parent, nbrs = stack[-1]
-            for u in nbrs:
-                if u not in disc:
-                    disc[u] = low[u] = len(disc)
-                    path.append(u)
-                    stack.append((u, v, bits(g.adj[u])))
-                    break
-                # The edge back to the parent keeps low[v] >= disc[parent].
-                low[v] = min(low[v], disc[u])
-            else:
-                stack.pop()
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        block = 1 << parent
-                        while not block >> v & 1:
-                            block |= 1 << path.pop()
-                        blocks.append((block, parent))
-    return blocks
 
 
 def _weighted_subsets(
@@ -278,7 +237,7 @@ def _smart_total(g: Graph, cap: int | None) -> int:
     counted there."""
     w = [1] * g.n
     total = below = 0
-    for block, head in _blocks(g):
+    for block, head in blocks(g):
         avoid, through = _block_sums(g, block, head, w, cap)
         total += avoid
         w[head] *= through
@@ -289,11 +248,12 @@ def _smart_total(g: Graph, cap: int | None) -> int:
 def smart_count(g: Graph, cap: int | None = None) -> CountResult:
     """Exact count by cut-vertex decomposition, summed over components.
 
-    One pass over the blocks (2-connected pieces and bridges), leaves
-    first: each cut vertex carries the count of the sets hanging below it
-    through it, and each block is summed once with those weights.  Bridges
-    and cycles take linear time; other blocks are enumerated like the
-    oracle, under ``cap``.  Always equals ``oracle_count`` where both run.
+    One pass over the blocks (2-connected pieces and bridges) in the
+    leaves-first order of :func:`graphs.blocks`: each cut vertex carries
+    the count of the sets hanging below it through it, and each block is
+    summed once with those weights.  Bridges and cycles take linear time;
+    other blocks are enumerated like the oracle, under ``cap``.  Always
+    equals ``oracle_count`` where both run.
     """
     t0 = time.perf_counter()
     total = _smart_total(g, cap)

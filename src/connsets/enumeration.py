@@ -449,7 +449,14 @@ def _guarded_stream(n: int) -> Iterator[Graph]:
         yield from kept
 
 
-def _check_bicyclic_order(n: int, cap: int | None) -> None:
+def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
+    """One representative per isomorphism class of n-vertex bicyclic
+    graphs, in generation order, with no certificate built.
+
+    The order is checked at the call; each core's representatives are
+    yielded only after its group and Burnside guards pass.  ``cap``
+    (default ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
+    """
     if n < 4:
         raise ContractViolationError(
             f"bicyclic graphs have at least four vertices, got n={n}"
@@ -460,26 +467,14 @@ def _check_bicyclic_order(n: int, cap: int | None) -> None:
             f"bicyclic enumeration capped at n <= {cap}, got {n}; "
             "raise the cap explicitly to proceed"
         )
-
-
-def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
-    """One representative per isomorphism class of n-vertex bicyclic
-    graphs, in generation order, with no certificate built.
-
-    The order is checked at the call; each core's representatives are
-    yielded only after its group and Burnside guards pass.  ``cap``
-    (default ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
-    """
-    _check_bicyclic_order(n, cap)
     return _guarded_stream(n)
 
 
 def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
     """The classes of ``generate_bicyclic`` in certificate order; a
     repeated certificate is a contract violation."""
-    _check_bicyclic_order(n, cap)
     classes: dict[Certificate, Graph] = {}
-    for g in _guarded_stream(n):
+    for g in generate_bicyclic(n, cap):
         cert = canonical_certificate(g)
         if cert in classes:
             raise ContractViolationError(

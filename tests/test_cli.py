@@ -1,15 +1,19 @@
 """The command-line surface: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from connsets import cycle_to_tadpole, subtree_to_star
 from connsets.cli import main
 from connsets.counting import oracle_count
-from connsets.families import build, parse_family_spec
+from connsets.families import KINDS, build, parse_family_spec
 from connsets.graphs import MAX_VERTICES, Graph, from_graph6, mask_of, to_graph6
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -93,6 +97,48 @@ def test_family_build_and_count(capsys):
     assert from_graph6(g6).n == 9
 
 
+# One spec per kind at a small order and one at the vertex ceiling.
+_FAMILY_SPECS = {
+    "path": ("path:6", "path:2000"),
+    "cycle": ("cycle:6", "cycle:2000"),
+    "star": ("star:6", "star:2000"),
+    "tadpole": ("tadpole:6", "tadpole:2000"),
+    "dumbbell": ("dumbbell:3,4,2", "dumbbell:999,999,4"),
+    "typeII": ("typeII:3,4", "typeII:1000,1001"),
+    "theta": ("theta:2,3,4", "theta:2,3,1999"),
+    "L": ("L:6", "L:2000"),
+    "A": ("A:6", "A:2000"),
+    "B": ("B:6", "B:2000"),
+    "R": ("R:6", "R:2000"),
+    "Q": ("Q:6", "Q:2000"),
+}
+
+
+def test_family_count_prints_what_count_prints(capsys):
+    assert set(_FAMILY_SPECS) == set(KINDS)
+    cases = [(spec,) for specs in _FAMILY_SPECS.values() for spec in specs]
+    cases += [("A:9", "--cap", "3"), ("E8", "--cap", "5")]
+    for spec, *cap in cases:
+        code, out, _ = run(capsys, "family", spec, "--count", *cap)
+        count_code, count_out, _ = run(capsys, "count", "--family", spec, *cap)
+        graph6 = to_graph6(build(parse_family_spec(spec))) + "\n" if code == 0 else ""
+        assert (code, out) == (count_code, graph6 + count_out), spec
+
+
+def test_benchmark_workloads_print_the_pinned_bytes(capsys):
+    # perfbench/expected.json pins each workload's stdout by sha256.
+    workloads = {
+        "min-n6": ("min", "--n", "6"),
+        "min-n8-guarded": ("min", "--n", "8"),
+        "max-n10": ("max", "--n", "10"),
+    }
+    pinned = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    for name, argv in workloads.items():
+        code, out, _ = run(capsys, "verify", *argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (0, pinned["stdout_sha256"][name]), name
+
+
 def test_exactly_one_input_source(capsys):
     code, _, err = run(capsys, "count", "--graph6", "Bw", "--family", "L:9")
     assert code == 3 and "one input source" in err
@@ -133,7 +179,6 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
         raise AssertionError("work started before --workers was validated")
 
     monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
-    monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
     for bad in ("0", "-1", str(os.cpu_count() + 1)):
@@ -150,7 +195,7 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
 
     for name in ("_load_graph", "build", "enumerate_bicyclic"):
         monkeypatch.setattr(cli, name, refuse)
-    for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
+    for name in ("generate_bicyclic", "count_stream"):
         monkeypatch.setattr(cli.verify_mod, name, refuse)
     for bad in ("0", "-5"):
         for argv in (

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connsets import (
     ContractViolationError,
     FormatError,
     Graph,
+    bits,
+    blocks,
     components,
     cut_vertices,
     delete_vertices,
@@ -146,6 +150,34 @@ def test_cut_vertices_match_component_definition():
             assert bool(cuts >> v & 1) == expected
 
 
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 12 vertices, connected or not."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(chosen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_blocks_partition_the_edges_into_2_connected_pieces(g):
+    found = blocks(g)
+    for u, v in g.edges():
+        assert sum(b >> u & 1 and b >> v & 1 for b, _ in found) == 1
+    for i, (block, head) in enumerate(found):
+        assert block >> head & 1 and block.bit_count() >= 2
+        if block.bit_count() >= 3:
+            for v in bits(block):
+                assert induced_is_connected(g, block & ~(1 << v))
+        for j, (other, other_head) in enumerate(found):
+            if j != i:
+                assert (block & other).bit_count() <= 1
+            # A block headed at one of this block's other vertices hangs below it.
+            if other_head != head and block >> other_head & 1:
+                assert j < i
+
+
 def test_graph6_reference_strings():
     assert to_graph6(path_graph(2)) == "A_"
     assert to_graph6(cycle_graph(3)) == "Bw"
@@ -162,6 +194,40 @@ def test_graph6_round_trip_random():
     for n in (62, 63, 64, 65, 100, 300):
         g = path_graph(n)
         assert from_graph6(to_graph6(g)) == g
+
+
+def _graph6_bit_by_bit(g: Graph) -> str:
+    """Reference encoder: one list entry per upper-triangle bit."""
+    n = g.n
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bitlist = []
+    for j in range(1, n):
+        for i in range(j):
+            bitlist.append(g.adj[j] >> i & 1)
+    chars = [head]
+    for k in range(0, len(bitlist), 6):
+        chunk = bitlist[k : k + 6]
+        chunk += [0] * (6 - len(chunk))
+        val = 0
+        for b in chunk:
+            val = val << 1 | b
+        chars.append(chr(63 + val))
+    return "".join(chars)
+
+
+def test_graph6_matches_the_bit_by_bit_reference():
+    rng = random.Random(11)
+    graphs = [random_graph(rng, n) for n in range(1, 71) for _ in range(3)]
+    n = MAX_VERTICES
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(20000)}
+    graphs.append(Graph.from_edges(n, [(u, v) for u, v in edges if u != v]))
+    for g in graphs:
+        text = to_graph6(g)
+        assert text == _graph6_bit_by_bit(g), g.n
+        assert from_graph6(text) == g
 
 
 def test_graph6_rejects_garbage():
