@@ -47,7 +47,6 @@ from .families import (
 from .graphs import (
     Graph,
     bits,
-    blocks,
     components,
     cut_vertices,
     delete_vertices,
@@ -99,7 +98,6 @@ __all__ = [
     "TransformOutcome",
     "VerificationReport",
     "bits",
-    "blocks",
     "branch_shift",
     "build",
     "canonical_certificate",

@@ -51,8 +51,7 @@ def _check_cap(g: Graph, cap: int | None) -> None:
 
 
 def _connected_subsets(adj: tuple[int, ...], domain: int, required: int = 0) -> int:
-    """Count nonempty connected subsets of ``domain`` containing ``required``
-    (zero when no connected set of ``domain`` contains it).
+    """Count nonempty connected subsets of ``domain`` containing ``required``.
 
     Include/exclude branching: each set grows from its lowest vertex (the
     lowest required vertex when ``required`` is set) by taking one vertex
@@ -102,7 +101,8 @@ def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount
     if not 0 <= v < g.n:
         raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
     _check_cap(g, cap)
-    return RootedCount(v, _connected_subsets(g.adj, g.vertex_mask, 1 << v))
+    comp = next(c for c in components(g, g.vertex_mask) if c >> v & 1)
+    return RootedCount(v, _connected_subsets(g.adj, comp, 1 << v))
 
 
 def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
@@ -113,7 +113,8 @@ def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
         if not 0 <= w < g.n:
             raise ContractViolationError(f"vertex {w} out of range for n={g.n}")
     _check_cap(g, cap)
-    return _connected_subsets(g.adj, g.vertex_mask, 1 << u | 1 << v)
+    comp = next(c for c in components(g, g.vertex_mask) if c >> u & 1)
+    return _connected_subsets(g.adj, comp, 1 << u | 1 << v) if comp >> v & 1 else 0
 
 
 def combine_identified(n1: int, r1: int, n2: int, r2: int) -> tuple[int, int]:

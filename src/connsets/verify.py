@@ -1,12 +1,10 @@
 """Replay of the extremal claims over exhaustive small-order corpora.
 
 Each sweep enumerates every relevant graph, evaluates exact counts, and
-compares against the closed forms; the bicyclic sweeps stream theirs
-from ``generate_bicyclic`` at every order and report attainers in
-certificate order.  All pass/fail decisions are integer-exact; nothing
-passes on approximate equality.  Reports are plain data, deterministic
-for a given (claim, n, seed), and serialise to JSON and a one-line CSV
-summary.
+compares against the closed forms.  All pass/fail decisions are
+integer-exact; nothing passes on approximate equality.  Reports are
+plain data, deterministic for a given (claim, n, seed), and serialise to
+JSON and a one-line CSV summary.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .counting import (
     oracle_count_rooted,
     tree_rooted_count,
 )
-from .enumeration import enumerate_trees, generate_bicyclic
+from .enumeration import enumerate_bicyclic, enumerate_trees, generate_bicyclic
 from .errors import ContractViolationError
 from .families import KINDS, FamilySpec, build, closed_form, e_graph_reference
 from .graphs import Graph, to_graph6
@@ -127,18 +125,18 @@ _BICYCLIC_CLASSES = {
 
 
 def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
-    """The corpus of n-vertex bicyclic classes, in generation order, with
-    the exhaustiveness guards.
+    """Enumerate with the exhaustiveness guards.
 
     At every order the generator checks each core: its listed
     automorphisms must form the whole group (order from the closed form
     of the shape), and the forests it keeps must number the orbits that
     Burnside's lemma counts.  Here the corpus must also be nonempty and
-    match OEIS A001429 at every tabulated order.  For n <= 8 its sorted
-    certificates must also be exactly those of the independent labelled
-    generator; above that no certificate is built.
+    match OEIS A001429 at every tabulated order.  For n <= 8 the classes
+    come in certificate order and their certificates must be exactly
+    those of the independent labelled generator; above that they come in
+    generation order and no certificate is built.
     """
-    graphs = list(generate_bicyclic(n, cap))
+    graphs = enumerate_bicyclic(n, cap) if n <= 8 else list(generate_bicyclic(n, cap))
     if not graphs:
         raise ContractViolationError(f"enumeration produced no graphs at n={n}")
     if n in _BICYCLIC_CLASSES and len(graphs) != _BICYCLIC_CLASSES[n]:

@@ -10,7 +10,7 @@ import pytest
 from connsets import cycle_to_tadpole, subtree_to_star
 from connsets.cli import main
 from connsets.counting import oracle_count
-from connsets.families import KINDS, build, parse_family_spec
+from connsets.families import KINDS, build, closed_form, parse_family_spec
 from connsets.graphs import MAX_VERTICES, Graph, from_graph6, mask_of, to_graph6
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,11 +118,19 @@ def test_family_count_prints_what_count_prints(capsys):
     assert set(_FAMILY_SPECS) == set(KINDS)
     cases = [(spec,) for specs in _FAMILY_SPECS.values() for spec in specs]
     cases += [("A:9", "--cap", "3"), ("E8", "--cap", "5")]
+    # A 2-connected block above the cap exits 4 on both commands.
+    refused = {("theta:2,3,1999",), ("A:9", "--cap", "3"), ("E8", "--cap", "5")}
     for spec, *cap in cases:
         code, out, _ = run(capsys, "family", spec, "--count", *cap)
         count_code, count_out, _ = run(capsys, "count", "--family", spec, *cap)
+        assert (code, count_code) == ((4, 4) if (spec, *cap) in refused else (0, 0)), spec
         graph6 = to_graph6(build(parse_family_spec(spec))) + "\n" if code == 0 else ""
-        assert (code, out) == (count_code, graph6 + count_out), spec
+        assert out == graph6 + count_out, spec
+    for kind, (_, spec) in _FAMILY_SPECS.items():
+        parsed = parse_family_spec(spec)
+        if closed_form(parsed) is not None:
+            _, out, _ = run(capsys, "family", spec, "--count")
+            assert out.splitlines()[1] == str(closed_form(parsed)), kind
 
 
 def test_benchmark_workloads_print_the_pinned_bytes(capsys):
@@ -179,6 +187,7 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
         raise AssertionError("work started before --workers was validated")
 
     monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
     for bad in ("0", "-1", str(os.cpu_count() + 1)):
@@ -195,7 +204,7 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
 
     for name in ("_load_graph", "build", "enumerate_bicyclic"):
         monkeypatch.setattr(cli, name, refuse)
-    for name in ("generate_bicyclic", "count_stream"):
+    for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
         monkeypatch.setattr(cli.verify_mod, name, refuse)
     for bad in ("0", "-5"):
         for argv in (

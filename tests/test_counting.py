@@ -97,6 +97,20 @@ def test_pair_counts():
         oracle_count_pair(cycle_graph(3), 1, 1)
 
 
+def test_pair_in_different_components_is_zero_without_search(monkeypatch):
+    # A 23-vertex star and an isolated vertex: the 2^22 connected sets
+    # through the star's centre are never enumerated.
+    import connsets.counting as counting
+
+    g = Graph.from_edges(24, [(0, v) for v in range(1, 23)])
+
+    def refuse(*args):
+        raise AssertionError("searched a pair split across components")
+
+    monkeypatch.setattr(counting, "_connected_subsets", refuse)
+    assert oracle_count_pair(g, 0, 23) == 0
+
+
 def test_pair_inclusion_exclusion_and_naive():
     rng = random.Random(16)
     for _ in range(40):

@@ -11,7 +11,6 @@ from connsets import (
     FormatError,
     Graph,
     bits,
-    blocks,
     components,
     cut_vertices,
     delete_vertices,
@@ -24,7 +23,7 @@ from connsets import (
     to_graph6,
 )
 from connsets.families import FamilySpec, build
-from connsets.graphs import MAX_VERTICES
+from connsets.graphs import MAX_VERTICES, blocks
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 

@@ -111,7 +111,7 @@ def test_exhaustiveness_guard_catches_broken_enumeration(monkeypatch):
     import connsets.verify as verify_mod
 
     monkeypatch.setattr(
-        verify_mod, "generate_bicyclic", lambda n, cap=None: [] if cap is None else []
+        verify_mod, "enumerate_bicyclic", lambda n, cap=None: [] if cap is None else []
     )
     with pytest.raises(ContractViolationError):
         verify_mod.verify_minimum(6)
@@ -165,13 +165,13 @@ def test_exhaustiveness_guard_compares_class_lists(monkeypatch):
     # One class replaced by a copy of another keeps both counts right
     # (A001429 and the labelled sweep), so only the certificates differ.
     import connsets.verify as verify_mod
-    from connsets.enumeration import generate_bicyclic as real
+    from connsets.enumeration import enumerate_bicyclic as real
 
     def duplicated(n, cap=None):
-        graphs = list(real(n))
+        graphs = real(n)
         return [graphs[1]] + graphs[1:]
 
-    monkeypatch.setattr(verify_mod, "generate_bicyclic", duplicated)
+    monkeypatch.setattr(verify_mod, "enumerate_bicyclic", duplicated)
     with pytest.raises(ContractViolationError, match="labelled generator at n=6"):
         verify_mod.verify_minimum(6)
 
