@@ -8,6 +8,11 @@ non-singleton cell at a time, re-refines, and prunes branches that are
 images of already-explored ones under automorphisms discovered along the
 way.  This is exact (never heuristic): two graphs receive equal
 certificates if and only if they are isomorphic.
+
+The same search yields the automorphism group: since it prunes only by
+automorphisms it has met, those it meets generate the whole group
+(McKay, *Practical graph isomorphism*, 1981), and
+``automorphism_group`` closes them under composition.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ def _encode(adj: tuple[int, ...], perm: list[int]) -> int:
     return code
 
 
-def _canonical_perm(g: Graph) -> list[int]:
+def _canonical_perm(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The canonical labelling of ``g`` and the automorphisms the search
+    meets, one per leaf whose code ties the best, as tuples of images."""
     adj = g.adj
     n = g.n
     by_degree: dict[int, list[int]] = {}
@@ -138,13 +145,25 @@ def _canonical_perm(g: Graph) -> list[int]:
 
     descend(initial, [])
     assert best_perm is not None
-    return best_perm
+    return best_perm, automorphisms
 
 
 @lru_cache(maxsize=100_000)
 def canonical_form(g: Graph) -> Graph:
     """The canonical relabelling of ``g`` (label dropped)."""
-    return g.relabel(tuple(_canonical_perm(g)))
+    return g.relabel(tuple(_canonical_perm(g)[0]))
+
+
+def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of ``g`` as the tuple of vertex images, sorted,
+    so the identity comes first: the automorphisms the canonical search
+    meets, closed under composition."""
+    generators = _canonical_perm(g)[1]
+    group = frontier = {tuple(range(g.n))}
+    while frontier:
+        frontier = {tuple(a[v] for v in b) for b in frontier for a in generators} - group
+        group |= frontier
+    return tuple(sorted(group))
 
 
 def canonical_certificate(g: Graph) -> Certificate:

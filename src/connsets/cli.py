@@ -5,7 +5,7 @@ Subcommands
 
 ``count``      exact counts for one graph (totals, rooted, pairs)
 ``family``     build a named family instance, print graph6 and, on request, its count
-``enumerate``  stream all n-vertex bicyclic graphs with their counts
+``enumerate``  stream all n-vertex bicyclic graphs, each with what ``count`` prints
 ``transform``  apply one of the named surgeries to a graph
 ``verify``     run a claim sweep and emit a machine-readable report
 
@@ -48,7 +48,11 @@ EXIT_FORMAT = 5
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph6", help="inline graph6 string")
+    parser.add_argument(
+        "--graph6",
+        help="inline graph6 string; Linux limits one command-line argument to "
+        "128 KiB, which graph6 exceeds above 1254 vertices: pass such graphs with --file",
+    )
     parser.add_argument("--file", help="path to a graph6 or edge-list file")
     parser.add_argument("--family", help="family spec string, e.g. L:9")
 
@@ -128,20 +132,18 @@ def _check_workers(workers: int) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_workers(args.workers)
     _check_cap(args.cap)
     graphs = enumerate_bicyclic(args.n, args.cap)
-    counts = verify_mod.count_stream(graphs, args.workers)
 
     def rows():
         if args.format == "csv":
             yield "graph6,certificate,connected_sets,core_kind"
-            for g, c in zip(graphs, counts):
-                core = extract_core(g)
-                yield f"{to_graph6(g)},{canonical_certificate(g).text},{c},{core.kind}"
+            for g in graphs:
+                c = smart_count(g).total
+                yield f"{to_graph6(g)},{canonical_certificate(g).text},{c},{extract_core(g).kind}"
         else:
-            for g, c in zip(graphs, counts):
-                yield f"{to_graph6(g)} {c}"
+            for g in graphs:
+                yield f"{to_graph6(g)} {smart_count(g).total}"
         # Trailing summary marks completion; consumers must check it.
         yield f"# complete n={args.n} classes={len(graphs)}"
 
@@ -297,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--out", help="write output here instead of stdout")
     p_family.set_defaults(func=_cmd_family)
 
-    p_enum = sub.add_parser("enumerate", help="stream all n-vertex bicyclic graphs")
+    p_enum = sub.add_parser("enumerate", help="stream all n-vertex bicyclic graphs and counts")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--cap", type=int, help="enumeration size cap override")
-    p_enum.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_enum.add_argument("--format", choices=("graph6", "csv"), default="graph6")
     p_enum.add_argument("--out", help="write output here instead of stdout")
     p_enum.set_defaults(func=_cmd_enumerate)

@@ -6,21 +6,22 @@ Bicyclic graphs are generated constructively: every pendant-free bicyclic
 core shape (two disjoint cycles joined by a path, two cycles sharing a
 vertex, or a theta graph) of at most n vertices is built, and rooted
 forests distributing the remaining vertices over the core are attached,
-one forest per orbit of the core's automorphism group, so each class is
-generated exactly once.
+one forest per orbit of the core's automorphism group, which the
+canonical-labelling search lists (:func:`connsets.canon.automorphism_group`),
+so each class is generated exactly once.
 
 Two routes read this generation.  ``generate_bicyclic`` streams the
 classes in generation order and builds no certificate.
 ``enumerate_bicyclic`` canonicalises every class, sorts by certificate
 and treats a repeated certificate as a contract violation, a check
 independent of the guards below.  Both routes pass every core through
-two guards that use no certificate.  The group guard: the core's listed
-automorphisms are distinct, map the core onto itself, and number the
-closed-form order of its shape's group.  The Burnside guard: the number
-of forests kept equals the number of orbits Burnside's lemma gives from
-rooted-tree counts (OEIS A000081, by Otter's recurrence).  An
-independent labelled-graph generator (see :mod:`connsets.crosscheck`)
-validates the pipeline for small n.
+two guards that use no certificate.  The group guard: the automorphisms
+the search lists for the core are distinct, map the core onto itself,
+and number the closed-form order of its shape's group.  The Burnside
+guard: the number of forests kept equals the number of orbits
+Burnside's lemma gives from rooted-tree counts (OEIS A000081, by
+Otter's recurrence).  An independent labelled-graph generator (see
+:mod:`connsets.crosscheck`) validates the pipeline for small n.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import Certificate, canonical_certificate
+from .canon import Certificate, automorphism_group, canonical_certificate
 from .errors import ContractViolationError, ResourceCapError
+from .families import FamilySpec, build
 from .graphs import (
     Graph,
     bits,
@@ -235,8 +237,6 @@ def extract_core(g: Graph) -> CoreClassification:
 
 def _core_graphs(n: int) -> Iterator[Graph]:
     """Every pendant-free bicyclic shape on at most ``n`` vertices."""
-    from .families import FamilySpec, build
-
     # Two cycles sharing a vertex: p + q - 1 vertices.
     for p in range(3, n):
         for q in range(p, n + 2 - p):
@@ -270,48 +270,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _core_automorphisms(core: Graph) -> tuple[tuple[int, ...], ...]:
-    """Every automorphism of a connected core as the tuple of vertex
-    images, identity first.
-
-    Vertices are mapped in breadth-first order, each to an unused vertex
-    of equal degree whose adjacency to the vertices mapped so far
-    matches; every vertex after the first has a mapped neighbour, so
-    only the neighbours of that neighbour's image can pass.
-    """
-    order = [0]
-    reached = 1
-    for v in order:
-        for u in bits(core.adj[v] & ~reached):
-            reached |= 1 << u
-            order.append(u)
-    degs = core.degrees()
-    image = [0] * core.n
-    found = []
-
-    def extend(depth: int, used: int) -> None:
-        if depth == core.n:
-            found.append(tuple(image))
-            return
-        v = order[depth]
-        for w in range(core.n):
-            if used >> w & 1 or degs[w] != degs[v]:
-                continue
-            if all(
-                core.has_edge(u, v) == core.has_edge(image[u], w) for u in order[:depth]
-            ):
-                image[v] = w
-                extend(depth + 1, used | 1 << w)
-
-    extend(0, 0)
-    return tuple(sorted(found))
-
-
 def _with_attachments(
     core: Graph, extra: int, automorphisms: tuple[tuple[int, ...], ...]
 ) -> Iterator[Graph]:
     """Attach ``extra`` vertices as rooted trees, one distribution per
-    orbit of ``automorphisms``, the core's automorphism group.
+    orbit of ``automorphisms``, the core's whole automorphism group as
+    ``automorphism_group`` lists it.
 
     A distribution is keyed by ``(sizes, shapes)``: the tree size at each
     core vertex and the index of its shape in ``_rooted_trees``, where
@@ -431,13 +395,14 @@ def _check_group(n: int, core: Graph, automorphisms: tuple[tuple[int, ...], ...]
 def _guarded_stream(n: int) -> Iterator[Graph]:
     """Each core's kept graphs, yielded once its two guards pass.
 
-    Every orbit keeps at least its least key, so the kept count is at
-    least the orbit count, with equality exactly when each class is kept
-    once.
+    The group guard checks the canonical search's group against the
+    closed-form order.  Every orbit keeps at least its least key, so the
+    kept count is at least the orbit count, with equality exactly when
+    each class is kept once.
     """
     for core in _core_graphs(n):
         extra = n - core.n
-        automorphisms = _core_automorphisms(core)
+        automorphisms = automorphism_group(core)
         _check_group(n, core, automorphisms)
         kept = list(_with_attachments(core, extra, automorphisms))
         fixed = _burnside_sum(automorphisms, extra)

@@ -19,6 +19,7 @@ from .canon import canonical_certificate
 from .counting import oracle_count_rooted
 from .enumeration import extract_core, pendant_free_core
 from .errors import ContractViolationError, ParameterError
+from .families import E_NAMES, KINDS, FamilySpec, build
 from .graphs import Graph, bits, delete_vertices, is_connected
 
 
@@ -35,8 +36,6 @@ class TransformOutcome:
 
 def annotate_family(g: Graph) -> str | None:
     """Name of the named-family graph ``g`` matches, if any."""
-    from .families import E_NAMES, KINDS, FamilySpec, build
-
     cert = canonical_certificate(g)
     candidates = [
         FamilySpec(kind, (g.n,))

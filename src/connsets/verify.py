@@ -145,6 +145,7 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
             f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
         )
     if n <= 8:
+        # Imported here so that numpy stays out of runs above n = 8.
         from .crosscheck import labeled_bicyclic_certificates
 
         own = sorted(canonical_certificate(g).text for g in graphs)

@@ -3,7 +3,11 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from connsets import Graph, canonical_certificate, is_isomorphic
+from connsets.canon import automorphism_group
 from connsets.families import FamilySpec, build
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
@@ -70,3 +74,41 @@ def test_highly_symmetric_graphs_stay_fast():
     perm = list(range(8))
     rng.shuffle(perm)
     assert canonical_certificate(k44) == canonical_certificate(k44.relabel(tuple(perm)))
+
+
+@st.composite
+def graphs_up_to_7(draw):
+    """Graphs on at most 7 vertices, connected or not."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(chosen))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_up_to_7())
+def test_automorphism_group_matches_brute_force(g):
+    edges = set(g.edges())
+    brute = tuple(
+        p
+        for p in itertools.permutations(range(g.n))
+        if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+    )
+    assert automorphism_group(g) == brute
+
+
+def test_automorphism_group_of_symmetric_graphs():
+    k7 = Graph.from_edges(7, list(itertools.combinations(range(7), 2)))
+    petersen = Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    cube = Graph.from_edges(
+        8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]
+    )
+    for g, order in ((k7, 5040), (petersen, 120), (cube, 48)):
+        group = automorphism_group(g)
+        assert len(group) == order and group[0] == tuple(range(g.n))
+        assert all(g.relabel(sigma) == g for sigma in group)

@@ -147,6 +147,20 @@ def test_benchmark_workloads_print_the_pinned_bytes(capsys):
         assert (code, digest) == (0, pinned["stdout_sha256"][name]), name
 
 
+def test_graph6_help_names_file_for_graphs_past_the_argument_limit(capsys, monkeypatch):
+    # Linux takes at most 131071 bytes in one argument; graph6 passes that
+    # from 1255 vertices on.
+    assert len(to_graph6(build(parse_family_spec("cycle:1254")))) < 131072
+    assert len(to_graph6(build(parse_family_spec("cycle:1255")))) >= 131072
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["count", "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    (line,) = [ln for ln in out.splitlines() if ln.lstrip().startswith("--graph6")]
+    assert "128 KiB" in line and "1254 vertices" in line and "--file" in line
+
+
 def test_exactly_one_input_source(capsys):
     code, _, err = run(capsys, "count", "--graph6", "Bw", "--family", "L:9")
     assert code == 3 and "one input source" in err
@@ -165,6 +179,25 @@ def test_enumerate_stream_and_summary(capsys):
         assert from_graph6(line.split()[0]).n == 5
 
 
+def test_enumerate_counts_each_row_with_the_block_pass(capsys, monkeypatch):
+    import connsets.cli as cli
+    import connsets.counting as counting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate counted with the oracle")
+
+    monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
+    monkeypatch.setattr(cli.verify_mod, "oracle_count", refuse)
+    monkeypatch.setattr(counting, "oracle_count", refuse)
+    code, out, _ = run(capsys, "enumerate", "--n", "9")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "# complete n=9 classes=797"
+    assert len(lines) == 798
+    for line in lines[:-1]:
+        text, count = line.split()
+        assert int(count) == oracle_count(from_graph6(text)).total, text
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "4", "--format", "csv")
     assert code == 0
@@ -176,7 +209,7 @@ def test_enumerate_csv(capsys):
 
 def test_enumerate_deterministic(capsys):
     _, first, _ = run(capsys, "enumerate", "--n", "6")
-    _, second, _ = run(capsys, "enumerate", "--n", "6", "--workers", "2")
+    _, second, _ = run(capsys, "enumerate", "--n", "6")
     assert first == second
 
 
@@ -191,9 +224,11 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
     for bad in ("0", "-1", str(os.cpu_count() + 1)):
-        for argv in (("enumerate", "--n", "5"), ("verify", "min", "--n", "5")):
-            code, out, err = run(capsys, *argv, "--workers", bad)
-            assert code == 3 and out == "" and "--workers" in err, (argv, bad)
+        code, out, err = run(capsys, "verify", "min", "--n", "5", "--workers", bad)
+        assert code == 3 and out == "" and "--workers" in err, bad
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--n", "5", "--workers", "2"])
+    assert excinfo.value.code == 2
 
 
 def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):

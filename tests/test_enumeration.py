@@ -15,7 +15,8 @@ from connsets import (
     is_connected,
     oracle_count,
 )
-from connsets import crosscheck
+from connsets import canon, crosscheck
+from connsets.canon import automorphism_group
 from connsets.crosscheck import (
     labeled_bicyclic_classes,
     labeled_tree_certificates,
@@ -24,7 +25,6 @@ from connsets import enumeration
 from connsets.enumeration import (
     _burnside_sum,
     _classify_core,
-    _core_automorphisms,
     _core_graphs,
     _rooted_tree_counts,
     _rooted_trees,
@@ -117,7 +117,7 @@ def test_core_automorphisms_match_brute_force():
                 p for p in itertools.permutations(range(core.n)) if core.relabel(p) == core
             )
         )
-        assert _core_automorphisms(core) == brute, core.label
+        assert automorphism_group(core) == brute, core.label
         orders[core.label] = len(brute)
     assert orders["theta:3,3,3"] == 12
     assert orders["typeII:3,3"] == 8
@@ -130,7 +130,7 @@ def test_attachments_generate_each_class_once():
     # stream already has the A001429 length, before any dedupe.
     for n, expected in BICYCLIC_CLASSES.items():
         raw = sum(
-            sum(1 for _ in _with_attachments(core, n - core.n, _core_automorphisms(core)))
+            sum(1 for _ in _with_attachments(core, n - core.n, automorphism_group(core)))
             for core in _core_graphs(n)
         )
         assert raw == expected, n
@@ -141,7 +141,7 @@ def test_duplicate_class_is_a_contract_violation(monkeypatch):
     # whole, so the generator would repeat classes; the group guard sees
     # the missing automorphisms before any certificate is compared.
     monkeypatch.setattr(
-        enumeration, "_core_automorphisms", lambda core: (tuple(range(core.n)),)
+        enumeration, "automorphism_group", lambda core: (tuple(range(core.n)),)
     )
     with pytest.raises(
         ContractViolationError, match="n=6: the automorphisms listed for core"
@@ -168,13 +168,13 @@ def test_otter_recurrence_counts_the_level_sequences():
 def test_closed_form_group_order_matches_the_search():
     for core in _core_graphs(14):
         order = _shape_group_order(*_classify_core(core))
-        assert order == len(_core_automorphisms(core)), core.label
+        assert order == len(automorphism_group(core)), core.label
 
 
 def test_burnside_counts_the_kept_attachments():
     for n in range(4, 11):
         for core in _core_graphs(n):
-            group = _core_automorphisms(core)
+            group = automorphism_group(core)
             kept = sum(1 for _ in _with_attachments(core, n - core.n, group))
             assert _burnside_sum(group, n - core.n) == kept * len(group), (n, core.label)
 
@@ -184,7 +184,7 @@ def test_burnside_reproduces_a001429():
     for n, expected in a001429.items():
         total = 0
         for core in _core_graphs(n):
-            group = _core_automorphisms(core)
+            group = automorphism_group(core)
             orbits, rest = divmod(_burnside_sum(group, n - core.n), len(group))
             assert rest == 0, (n, core.label)
             total += orbits
@@ -192,16 +192,25 @@ def test_burnside_reproduces_a001429():
 
 
 def test_group_guard_catches_a_missing_automorphism(monkeypatch):
-    real = enumeration._core_automorphisms
+    real = enumeration.automorphism_group
 
     def one_short(core):
         group = real(core)
         return group[:-1] if core.label == "typeII:3,3" else group
 
-    monkeypatch.setattr(enumeration, "_core_automorphisms", one_short)
+    monkeypatch.setattr(enumeration, "automorphism_group", one_short)
     with pytest.raises(
         ContractViolationError, match="n=9: the automorphisms listed for core typeII:3,3"
     ):
+        list(generate_bicyclic(9))
+
+
+def test_group_guard_catches_a_search_that_meets_too_few_automorphisms(monkeypatch):
+    # The cores' groups come from the canonical search; one that drops the
+    # automorphisms it meets leaves each core only the identity.
+    real = canon._canonical_perm
+    monkeypatch.setattr(canon, "_canonical_perm", lambda g: (real(g)[0], []))
+    with pytest.raises(ContractViolationError, match="n=9: the automorphisms listed for core"):
         list(generate_bicyclic(9))
 
 
