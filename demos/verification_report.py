@@ -25,8 +25,7 @@ for n in range(5, 9):
     rep = verify_minimum(n)
     reports.append(rep)
     who = ", ".join(a["family"] or a["graph6"] for a in rep.attainers)
-    print(f"  n={n}: min={rep.observed['min']} by {who}  [{rep.status}]"
-          f"  ({rep.runtime:.1f}s)")
+    print(f"  n={n}: min={rep.observed['min']} by {who}  [{rep.status}]")
 
 print("\nmaximum sweep (largest and runner-up)")
 for n in range(6, 9):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -66,7 +65,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.graph6:
         return from_graph6(args.graph6)
     if args.file:
-        text = Path(args.file).read_text()
+        try:
+            text = Path(args.file).read_text()
+        except UnicodeDecodeError:
+            raise FormatError(f"{args.file} is not UTF-8 text") from None
         stripped = text.lstrip()
         if stripped and stripped.split(None, 1)[0].isdigit():
             return from_edge_list(text)
@@ -118,18 +120,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
 _CAP_HELP = (
     f"largest block, other than a cycle, counted by enumeration (default {DEFAULT_ORACLE_CAP})"
 )
-
-_WORKERS_HELP = (
-    "count in this many processes (default 1); two workers ran at 0.7-0.8 "
-    "times serial speed at n = 10 and at 1.9 times at n = 12"
-)
-
-
-def _check_workers(workers: int) -> None:
-    limit = os.cpu_count() or 1
-    if not 1 <= workers <= limit:
-        raise ParameterError(f"--workers must be in 1..{limit}, got {workers}")
-
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_cap(args.cap)
@@ -216,11 +206,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 _CLAIM_RUNNERS = {
     "min": lambda args: [
-        verify_mod.verify_minimum(n, cap=args.cap, workers=args.workers)
+        verify_mod.verify_minimum(n, cap=args.cap)
         for n in _span(args, default_lo=5, default_hi=10)
     ],
     "max": lambda args: [
-        verify_mod.verify_maximum(n, cap=args.cap, workers=args.workers)
+        verify_mod.verify_maximum(n, cap=args.cap)
         for n in _span(args, default_lo=5, default_hi=10)
     ],
     "vertex-bound": lambda args: [
@@ -253,7 +243,6 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_workers(args.workers)
     _check_cap(args.cap)
     if args.n is not None and args.n < 1:
         raise ParameterError(f"--n must be at least 1, got {args.n}")
@@ -335,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--cap", type=int, help="size cap override (oracle vertices for closed-forms)"
     )
-    p_ver.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_ver.add_argument("--format", choices=("json", "csv"), default="json")
     p_ver.add_argument("--out", help="write output here instead of stdout")
     p_ver.set_defaults(func=_cmd_verify)
@@ -357,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
 

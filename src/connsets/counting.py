@@ -13,8 +13,7 @@ convention that makes the vertex-deletion identities total.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -26,11 +25,9 @@ DEFAULT_ORACLE_CAP = 24
 
 @dataclass(frozen=True)
 class CountResult:
-    """A total count, the method that produced it, and its wall time."""
+    """The total number of connected sets of a graph."""
 
     total: int
-    method: str  # "oracle" | "decomposition"
-    elapsed: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -85,11 +82,9 @@ def _connected_subsets(adj: tuple[int, ...], domain: int, required: int = 0) -> 
 def oracle_count(g: Graph, cap: int | None = None) -> CountResult:
     """Brute-force count of connected sets (component sum if disconnected)."""
     _check_cap(g, cap)
-    t0 = time.perf_counter()
-    total = sum(
-        _connected_subsets(g.adj, comp) for comp in components(g, g.vertex_mask)
+    return CountResult(
+        sum(_connected_subsets(g.adj, comp) for comp in components(g, g.vertex_mask))
     )
-    return CountResult(total, "oracle", time.perf_counter() - t0)
 
 
 def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
@@ -256,6 +251,4 @@ def smart_count(g: Graph, cap: int | None = None) -> CountResult:
     other blocks are enumerated like the oracle, under ``cap``.  Always
     equals ``oracle_count`` where both run.
     """
-    t0 = time.perf_counter()
-    total = _smart_total(g, cap)
-    return CountResult(total, "decomposition", time.perf_counter() - t0)
+    return CountResult(_smart_total(g, cap))

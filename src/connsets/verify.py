@@ -1,10 +1,12 @@
 """Replay of the extremal claims over exhaustive small-order corpora.
 
 Each sweep enumerates every relevant graph, evaluates exact counts, and
-compares against the closed forms.  All pass/fail decisions are
-integer-exact; nothing passes on approximate equality.  Reports are
-plain data, deterministic for a given (claim, n, seed), and serialise to
-JSON and a one-line CSV summary.
+compares against the closed forms.  The minimum and maximum sweeps count
+with the block pass (``smart_count``) and have the oracle recount the
+classes their verdicts read.  All pass/fail decisions are integer-exact;
+nothing passes on approximate equality.  Reports are plain data,
+deterministic for a given (claim, n, seed), and serialise to JSON and a
+one-line CSV summary.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import csv
 import io
 import json
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canon import canonical_certificate
 from .counting import (
@@ -22,6 +23,7 @@ from .counting import (
     extend_pendant,
     oracle_count,
     oracle_count_rooted,
+    smart_count,
     tree_rooted_count,
 )
 from .enumeration import enumerate_bicyclic, enumerate_trees, generate_bicyclic
@@ -37,7 +39,10 @@ INFORMATIONAL = "informational"
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Machine-readable record of one claim check."""
+    """Machine-readable record of one claim check.
+
+    It holds no timings, so the same (claim, n, seed) gives an equal
+    report and the same bytes."""
 
     claim: str
     n_lo: int
@@ -47,9 +52,8 @@ class VerificationReport:
     attainers: tuple[dict[str, str | None], ...]
     status: str
     notes: tuple[str, ...] = ()
-    runtime: float = field(default=0.0, compare=False)
 
-    def to_json(self, include_runtime: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "claim": self.claim,
             "n_lo": self.n_lo,
@@ -60,8 +64,6 @@ class VerificationReport:
             "status": self.status,
             "notes": list(self.notes),
         }
-        if include_runtime:
-            payload["runtime_seconds"] = self.runtime
         return json.dumps(payload, sort_keys=True)
 
     def csv_row(self) -> tuple[str, str, str, str, str]:
@@ -99,12 +101,11 @@ def _attainers(graphs) -> tuple[dict[str, str | None], ...]:
 
 
 def count_stream(graphs: list[Graph], workers: int = 1) -> list[int]:
-    """Exact counts for a list of graphs, optionally across processes.
+    """Oracle counts for a list of graphs, in input order.
 
-    The result order matches the input order regardless of worker count.
-    On two cores, two workers ran at 0.70-0.78 times serial speed at
-    n = 10, where each count is cheap next to pool start-up and pickling,
-    at 1.1-1.9 times at n = 11 and at 1.9-1.95 times at n = 12.
+    This is the cross-check's oracle pass in :func:`_checked_counts`,
+    which runs it serially.  The process pool behind ``workers`` is kept
+    only for ``perfbench/pool.py``, which times it against the serial run.
     """
     if workers <= 1:
         return [oracle_count(g).total for g in graphs]
@@ -116,6 +117,26 @@ def count_stream(graphs: list[Graph], workers: int = 1) -> list[int]:
 
 def _total(g: Graph) -> int:
     return oracle_count(g).total
+
+
+def _checked_counts(n: int, graphs: list[Graph]) -> list[int]:
+    """Block-pass counts of a corpus, cross-checked by the oracle.
+
+    At n <= 8, where the labelled guard runs, the oracle recounts every
+    class.  Above that it recounts the classes at the least count and at
+    the two largest, the only ones a verdict of the minimum or maximum
+    sweep reads.  A disagreement is a contract violation naming the class.
+    """
+    counts = [smart_count(g).total for g in graphs]
+    read = set(counts) if n <= 8 else {min(counts), *sorted(set(counts))[-2:]}
+    picked = [i for i, c in enumerate(counts) if c in read]
+    for i, truth in zip(picked, count_stream([graphs[i] for i in picked])):
+        if counts[i] != truth:
+            raise ContractViolationError(
+                f"block pass counts {counts[i]} and oracle {truth} "
+                f"on {to_graph6(graphs[i])} at n={n}"
+            )
+    return counts
 
 
 # Unlabelled connected bicyclic graphs per order (OEIS A001429).
@@ -156,13 +177,16 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     return graphs
 
 
-def verify_minimum(n: int, cap: int | None = None, workers: int = 1) -> VerificationReport:
-    """Smallest count over all n-vertex bicyclic graphs and its attainers."""
+def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
+    """Smallest count over all n-vertex bicyclic graphs and its attainers.
+
+    Counts come from :func:`_checked_counts`: the block pass, with the
+    oracle recounting every attainer.
+    """
     if n < 5:
         raise ContractViolationError("the minimum sweep starts at n = 5")
-    t0 = time.perf_counter()
     graphs = _guarded_enumeration(n, cap)
-    counts = count_stream(graphs, workers)
+    counts = _checked_counts(n, graphs)
     lo = min(counts)
     attainers = _attainers(g for g, c in zip(graphs, counts) if c == lo)
     expected_min = (n + 6) * (n - 1) // 2
@@ -182,23 +206,22 @@ def verify_minimum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
         observed={"min": lo, "minimiser_count": len(attainers), "classes": len(graphs)},
         attainers=attainers,
         status=status,
-        runtime=time.perf_counter() - t0,
     )
 
 
-def verify_maximum(n: int, cap: int | None = None, workers: int = 1) -> VerificationReport:
+def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
     """Largest and second-largest counts over n-vertex bicyclic graphs.
 
     Asserted for n >= 8: B_n is the unique maximiser and R_n the unique
     runner-up, at the closed-form values.  For 5 <= n < 8 the sweep
     reports what it sees without judging it (the extremal statement is
-    scoped to n >= 8).
+    scoped to n >= 8).  Counts come from :func:`_checked_counts`: the
+    block pass, with the oracle recounting every maximiser and runner-up.
     """
     if n < 5:
         raise ContractViolationError("the maximum sweep starts at n = 5")
-    t0 = time.perf_counter()
     graphs = _guarded_enumeration(n, cap)
-    counts = count_stream(graphs, workers)
+    counts = _checked_counts(n, graphs)
     hi = max(counts)
     attainers = _attainers(g for g, c in zip(graphs, counts) if c == hi)
     second = max((c for c in counts if c != hi), default=0)
@@ -238,14 +261,12 @@ def verify_maximum(n: int, cap: int | None = None, workers: int = 1) -> Verifica
         attainers=attainers,
         status=status,
         notes=notes,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
     """Every vertex of every n-vertex bicyclic graph lies in at least
     n + 3 connected sets; equality cases are recorded."""
-    t0 = time.perf_counter()
     graphs = _guarded_enumeration(n, cap)
     bound = n + 3
     worst = None
@@ -276,7 +297,6 @@ def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
         attainers=tuple(_attainer(g) for g, _ in equality),
         status=status,
         notes=notes,
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -293,7 +313,6 @@ def verify_closed_forms(max_n: int = 16, cap: int | None = None) -> Verification
     """Closed forms equal the oracle for every family instance up to
     ``max_n``; the small reference tables match exactly.  ``cap`` is the
     oracle's vertex cap."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     checked = 0
     for kind, row in KINDS.items():
@@ -330,7 +349,6 @@ def verify_closed_forms(max_n: int = 16, cap: int | None = None) -> Verification
         attainers=(),
         status=PASS if not failures else FAIL,
         notes=tuple(failures),
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -367,7 +385,6 @@ def verify_lemma_algebra(
         raise ContractViolationError("at least one trial is required")
     pendant_trials = trials if pendant_trials is None else pendant_trials
     branch_trials = trials if branch_trials is None else branch_trials
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures: list[str] = []
 
@@ -434,14 +451,12 @@ def verify_lemma_algebra(
         attainers=(),
         status=PASS if not failures else FAIL,
         notes=tuple(failures),
-        runtime=time.perf_counter() - t0,
     )
 
 
 def verify_tree_bound(max_n: int = 9, cap: int | None = None) -> VerificationReport:
     """Rooted counts of trees never exceed 2^(n-1); equality exactly at
     star centres.  ``cap`` is the tree enumeration's size cap."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     swept = 0
     for n in range(1, max_n + 1):
@@ -468,5 +483,4 @@ def verify_tree_bound(max_n: int = 9, cap: int | None = None) -> VerificationRep
         attainers=(),
         status=PASS if not failures else FAIL,
         notes=tuple(failures),
-        runtime=time.perf_counter() - t0,
     )

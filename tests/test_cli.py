@@ -214,21 +214,23 @@ def test_enumerate_deterministic(capsys):
 
 
 def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
+    # No command takes --workers: every value is a usage error.
     import connsets.cli as cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("work started before --workers was validated")
+        raise AssertionError("work started before --workers was rejected")
 
     monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
-    for bad in ("0", "-1", str(os.cpu_count() + 1)):
-        code, out, err = run(capsys, "verify", "min", "--n", "5", "--workers", bad)
-        assert code == 3 and out == "" and "--workers" in err, bad
-    with pytest.raises(SystemExit) as excinfo:
-        main(["enumerate", "--n", "5", "--workers", "2"])
-    assert excinfo.value.code == 2
+    for command in (("verify", "min"), ("enumerate",)):
+        for workers in ("0", "-1", "2", str(os.cpu_count() + 1)):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*command, "--n", "5", "--workers", workers])
+            assert excinfo.value.code == 2, (command, workers)
+            out, err = capsys.readouterr()
+            assert out == "" and "--workers" in err, (command, workers)
 
 
 def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
@@ -394,12 +396,19 @@ def test_files_round_trip(tmp_path, capsys):
     assert code == 0 and out == "7\n"
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert main(["family", "L:4"]) == 3
     assert main(["count", "--family", "theta:10,10,10"]) == 4
     assert main(["count", "--graph6", "####"]) == 5
     assert main(["count", "--family", "A:4", "--pair", "0"]) == 5
     assert main(["count", "--file", "/nonexistent/path"]) == 5
+    # File errors are malformed input, never a failed verification.
+    not_utf8 = tmp_path / "latin1.g6"
+    not_utf8.write_bytes(b"B\xe9\n")
+    assert main(["count", "--file", str(not_utf8)]) == 5
+    assert main(["count", "--file", str(tmp_path)]) == 5
+    assert main(["verify", "min", "--n", "5", "--out", str(tmp_path)]) == 5
+    assert main(["enumerate", "--n", "5", "--out", str(tmp_path)]) == 5
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--graph6", "Bw", "--unknown-flag"])
     assert excinfo.value.code == 2
@@ -415,14 +424,14 @@ def test_failed_verify_exits_1_and_names_the_claim(capsys, monkeypatch):
     # The runner-up lowered by one, as in the report-level test.
     import connsets.cli as cli
 
-    real = cli.verify_mod.count_stream
+    real = cli.verify_mod._checked_counts
 
-    def lowered(graphs, workers=1):
-        counts = real(graphs, workers)
+    def lowered(n, graphs):
+        counts = real(n, graphs)
         second = sorted(set(counts))[-2]
         return [c - 1 if c == second else c for c in counts]
 
-    monkeypatch.setattr(cli.verify_mod, "count_stream", lowered)
+    monkeypatch.setattr(cli.verify_mod, "_checked_counts", lowered)
     code, out, err = run(capsys, "verify", "max", "--n", "8")
     assert code == 1 and json.loads(out)["status"] == "fail"
     assert "FAILED: maximum at n=8" in err

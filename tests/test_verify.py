@@ -89,17 +89,12 @@ def test_reports_are_deterministic():
     assert x == y
 
 
-def test_workers_do_not_change_bytes():
-    assert verify_minimum(6, workers=2).to_json() == verify_minimum(6).to_json()
-
-
 def test_json_and_csv_shapes():
     report = verify_minimum(5)
     payload = json.loads(report.to_json())
     assert payload["claim"] == "minimum"
     assert payload["status"] == "pass"
     assert "runtime_seconds" not in payload
-    assert "runtime_seconds" in json.loads(report.to_json(include_runtime=True))
     csv_text = reports_to_csv([report, verify_maximum(5)])
     lines = csv_text.strip().splitlines()
     assert lines[0] == "claim,n,expected,observed,status"
@@ -135,12 +130,12 @@ def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
 
     import connsets.verify as verify_mod
 
-    real_counts = verify_mod.count_stream
+    real_counts = verify_mod._checked_counts
     real_rooted = verify_mod.oracle_count_rooted
     real_stream = verify_mod.generate_bicyclic
 
-    def tied_counts(graphs, workers=1):
-        counts = real_counts(graphs, workers)
+    def tied_counts(n, graphs):
+        counts = real_counts(n, graphs)
         third = sorted(set(counts))[2]
         return [max(c, third) for c in counts]
 
@@ -148,7 +143,7 @@ def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
         value = real_rooted(g, v, cap).value
         return SimpleNamespace(value=g.n + 3 if value == g.n + 4 else value)
 
-    monkeypatch.setattr(verify_mod, "count_stream", tied_counts)
+    monkeypatch.setattr(verify_mod, "_checked_counts", tied_counts)
     monkeypatch.setattr(verify_mod, "oracle_count_rooted", tied_rooted)
     forward = (verify_mod.verify_minimum(9), verify_mod.verify_vertex_bound(9))
     monkeypatch.setattr(
@@ -179,14 +174,14 @@ def test_exhaustiveness_guard_compares_class_lists(monkeypatch):
 def test_maximum_fails_when_the_runner_up_is_off(monkeypatch):
     import connsets.verify as verify_mod
 
-    real = verify_mod.count_stream
+    real = verify_mod._checked_counts
 
-    def lowered(graphs, workers=1):
-        counts = real(graphs, workers)
+    def lowered(n, graphs):
+        counts = real(n, graphs)
         second = sorted(set(counts))[-2]
         return [c - 1 if c == second else c for c in counts]
 
-    monkeypatch.setattr(verify_mod, "count_stream", lowered)
+    monkeypatch.setattr(verify_mod, "_checked_counts", lowered)
     report = verify_mod.verify_maximum(9)
     assert report.observed["second_max"] == 265
     assert report.status == FAIL
@@ -197,18 +192,18 @@ def test_maximum_fails_when_the_runner_up_is_not_r(monkeypatch):
     # single attainer, but that attainer is no longer R_9.
     import connsets.verify as verify_mod
 
-    real = verify_mod.count_stream
+    real = verify_mod._checked_counts
     r9 = canonical_certificate(build(FamilySpec("R", (9,))))
 
-    def swapped(graphs, workers=1):
-        counts = real(graphs, workers)
+    def swapped(n, graphs):
+        counts = real(n, graphs)
         i = next(k for k, g in enumerate(graphs) if canonical_certificate(g) == r9)
         j = counts.index(min(counts))
         counts[i], counts[j] = counts[j], counts[i]
         return counts
 
     assert verify_mod.verify_maximum(9).status == PASS
-    monkeypatch.setattr(verify_mod, "count_stream", swapped)
+    monkeypatch.setattr(verify_mod, "_checked_counts", swapped)
     report = verify_mod.verify_maximum(9)
     assert report.observed["second_max"] == 266
     assert report.observed["second_attainers"] == 1
@@ -223,3 +218,57 @@ def test_unnamed_attainers_fail_without_raising(monkeypatch):
     assert [a["family"] for a in report.attainers] == [None, None]
     assert report.status == FAIL
     assert verify_mod.verify_maximum(9).status == FAIL
+
+
+def test_oracle_recounts_only_what_a_verdict_reads(monkeypatch):
+    # Every class at n <= 8; above that, the classes at the least count
+    # and at the two largest.
+    import connsets.verify as verify_mod
+    from connsets.counting import smart_count
+    from connsets.enumeration import generate_bicyclic
+
+    real, calls = verify_mod.oracle_count, []
+
+    def counted(g, cap=None):
+        calls.append(g)
+        return real(g, cap)
+
+    monkeypatch.setattr(verify_mod, "oracle_count", counted)
+    assert verify_minimum(6).status == PASS
+    assert len(calls) == 19
+    counts = [smart_count(g).total for g in generate_bicyclic(9, 9)]
+    read = {min(counts), *sorted(set(counts))[-2:]}
+    calls.clear()
+    assert verify_maximum(9).status == PASS
+    assert len(calls) == sum(c in read for c in counts) < len(counts)
+    assert sorted(verify_mod.annotate_family(g) for g in calls) == ["B9", "L9", "R9"]
+
+
+@pytest.mark.parametrize("n", [9, 7])
+def test_block_pass_disagreeing_with_the_oracle_is_a_contract_violation(monkeypatch, n):
+    # Off by one on R9, the runner-up; at n = 7, on a class of middle
+    # count, which only the recount of every class at n <= 8 reads.
+    import connsets.verify as verify_mod
+    from connsets.counting import smart_count
+    from connsets.graphs import to_graph6
+
+    graphs = verify_mod._guarded_enumeration(n, None)
+    if n == 9:
+        r9 = canonical_certificate(build(FamilySpec("R", (9,))))
+        target = next(g for g in graphs if canonical_certificate(g) == r9)
+    else:
+        counts = sorted({smart_count(g).total for g in graphs})
+        middle = counts[len(counts) // 2]
+        target = next(g for g in graphs if smart_count(g).total == middle)
+    true = smart_count(target).total
+
+    def off_by_one(g, cap=None):
+        result = smart_count(g, cap)
+        return type(result)(result.total + 1) if g == target else result
+
+    monkeypatch.setattr(verify_mod, "smart_count", off_by_one)
+    with pytest.raises(ContractViolationError) as excinfo:
+        verify_mod.verify_maximum(n)
+    message = str(excinfo.value)
+    assert f"counts {true + 1} and oracle {true}" in message
+    assert to_graph6(target) in message and f"n={n}" in message
