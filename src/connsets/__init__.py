@@ -19,6 +19,8 @@ from .counting import (
     oracle_count_pair,
     oracle_count_rooted,
     smart_count,
+    smart_count_pair,
+    smart_count_rooted,
     tree_rooted_count,
 )
 from .enumeration import (
@@ -130,6 +132,8 @@ __all__ = [
     "pendant_vertices",
     "reports_to_csv",
     "smart_count",
+    "smart_count_pair",
+    "smart_count_rooted",
     "subgraph",
     "subtree_to_star",
     "to_edge_list",

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import verify as verify_mod
-from .counting import DEFAULT_ORACLE_CAP, oracle_count_pair, oracle_count_rooted, smart_count
+from .counting import DEFAULT_ORACLE_CAP, smart_count, smart_count_pair, smart_count_rooted
 from .enumeration import enumerate_bicyclic, extract_core
 from .errors import (
     ContractViolationError,
@@ -84,6 +86,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before any work, and without creating ``--out``, where writing
+    it would fail: a directory, or a file in a missing or read-only one."""
+    if out and (Path(out).is_dir() or not os.access(Path(out).parent, os.W_OK)):
+        raise OSError(f"cannot write --out {out}: not a file in a writable directory")
+
+
 def _check_cap(cap: int | None) -> None:
     if cap is not None and cap < 1:
         raise ParameterError(f"--cap must be at least 1, got {cap}")
@@ -96,13 +105,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.root is None and args.pair is None:
         lines.append(str(smart_count(g, args.cap).total))
     if args.root is not None:
-        lines.append(str(oracle_count_rooted(g, args.root, args.cap).value))
+        lines.append(str(smart_count_rooted(g, args.root, args.cap).value))
     if args.pair is not None:
         try:
             u, v = (int(tok) for tok in args.pair.split(","))
         except ValueError:
             raise FormatError("--pair expects two comma-separated vertex ids") from None
-        lines.append(str(oracle_count_pair(g, u, v, args.cap)))
+        lines.append(str(smart_count_pair(g, u, v, args.cap)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -138,14 +147,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         yield f"# complete n={args.n} classes={len(graphs)}"
 
     # Write line by line so partial output survives interruption.
-    handle = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
         for line in rows():
             handle.write(line + "\n")
             handle.flush()
-    finally:
-        if args.out:
-            handle.close()
     return EXIT_OK
 
 
@@ -182,18 +187,15 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
         return EXIT_OK
     g = _load_graph(args)
-    if args.surgery == "cycle-to-tadpole":
-        if args.cycle is None or args.anchor is None:
-            raise ContractViolationError("cycle-to-tadpole needs --cycle and --anchor")
-        outcome = cycle_to_tadpole(g, _parse_vertex_list(args.cycle), args.anchor)
-    elif args.surgery == "subtree-to-star":
+    if args.surgery == "subtree-to-star":
         if args.root is None:
             raise ContractViolationError("subtree-to-star needs --root")
         outcome = subtree_to_star(g, args.root)
     else:
         if args.cycle is None or args.anchor is None:
-            raise ContractViolationError("part-to-q needs --cycle and --anchor")
-        outcome = part_to_q(g, _parse_vertex_list(args.cycle), args.anchor)
+            raise ContractViolationError(f"{args.surgery} needs --cycle and --anchor")
+        surgery = cycle_to_tadpole if args.surgery == "cycle-to-tadpole" else part_to_q
+        outcome = surgery(g, _parse_vertex_list(args.cycle), args.anchor)
     payload = {
         "result_graph6": to_graph6(outcome.result),
         "predicted_delta": outcome.predicted_delta,
@@ -272,10 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_count)
     p_count.add_argument("--root", type=int, help="also count through this vertex")
     p_count.add_argument("--pair", help="count through both of u,v")
-    p_count.add_argument(
-        "--cap", type=int,
-        help=_CAP_HELP + "; --root and --pair enumerate the whole graph",
-    )
+    p_count.add_argument("--cap", type=int, help=_CAP_HELP)
     p_count.add_argument("--out", help="write output here instead of stdout")
     p_count.set_defaults(func=_cmd_count)
 
@@ -335,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

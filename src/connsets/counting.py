@@ -4,8 +4,8 @@ The oracle is the ground truth of the whole package: it enumerates the
 connected sets of a component one by one, growing each from its lowest
 vertex by include/exclude branching over its extension, so its cost is
 proportional to the number of sets it counts.  Everything else (the
-closed forms, the identification algebra, the tree recursion and the
-cut-vertex decomposition behind ``smart_count``) is validated against it.
+closed forms, the identification algebra and the block pass behind the
+``smart_count*`` functions) is validated against it.
 
 Counts of disconnected graphs are defined as the sum over components, the
 convention that makes the vertex-deletion identities total.
@@ -14,6 +14,7 @@ convention that makes the vertex-deletion identities total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import mul
 
@@ -45,6 +46,15 @@ def _check_cap(g: Graph, cap: int | None) -> None:
             f"exact enumeration over {g.n} vertices exceeds the cap of {limit}; "
             "raise the cap explicitly to proceed"
         )
+
+
+def _check_vertices(g: Graph, *vs: int) -> None:
+    """Each of ``vs`` is a vertex of ``g``; a pair must be two vertices."""
+    if len(vs) == 2 and vs[0] == vs[1]:
+        raise ContractViolationError("pair count requires two distinct vertices")
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
 
 
 def _connected_subsets(adj: tuple[int, ...], domain: int, required: int = 0) -> int:
@@ -88,13 +98,8 @@ def oracle_count(g: Graph, cap: int | None = None) -> CountResult:
 
 
 def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
-    """Count of connected sets containing ``v``, by direct enumeration.
-
-    Agrees with the deletion identity N(G) - N(G - v); the identity is
-    exercised by the test suite.
-    """
-    if not 0 <= v < g.n:
-        raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
+    """Count of connected sets containing ``v``, by direct enumeration."""
+    _check_vertices(g, v)
     _check_cap(g, cap)
     comp = next(c for c in components(g, g.vertex_mask) if c >> v & 1)
     return RootedCount(v, _connected_subsets(g.adj, comp, 1 << v))
@@ -102,11 +107,7 @@ def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount
 
 def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
     """Count of connected sets containing both ``u`` and ``v``."""
-    if u == v:
-        raise ContractViolationError("pair count requires two distinct vertices")
-    for w in (u, v):
-        if not 0 <= w < g.n:
-            raise ContractViolationError(f"vertex {w} out of range for n={g.n}")
+    _check_vertices(g, u, v)
     _check_cap(g, cap)
     comp = next(c for c in components(g, g.vertex_mask) if c >> u & 1)
     return _connected_subsets(g.adj, comp, 1 << u | 1 << v) if comp >> v & 1 else 0
@@ -137,36 +138,6 @@ def extend_pendant(n_h: int, r_neighbor: int) -> int:
             f"need 1 <= rooted <= total, got ({n_h}, {r_neighbor})"
         )
     return n_h + 1 + r_neighbor
-
-
-def _tree_down(t: Graph, root: int) -> list[int]:
-    """Per vertex, the connected sets of a tree whose vertex closest to
-    ``root`` is that vertex; iterative product-over-children recursion.
-
-    The sum is the total count and the entry at ``root`` its rooted count.
-    """
-    order: list[tuple[int, int]] = []
-    stack = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        order.append((node, parent))
-        for child in bits(t.adj[node]):
-            if child != parent:
-                stack.append((child, node))
-    down = [1] * t.n
-    for node, parent in reversed(order):
-        if parent >= 0:
-            down[parent] *= 1 + down[node]
-    return down
-
-
-def tree_rooted_count(t: Graph, v: int) -> RootedCount:
-    """Rooted count in a tree by the product-over-children recursion."""
-    if not 0 <= v < t.n:
-        raise ContractViolationError(f"vertex {v} out of range for n={t.n}")
-    if t.edge_count != t.n - 1 or not is_connected(t):
-        raise ContractViolationError("tree recursion requires a tree input")
-    return RootedCount(v, _tree_down(t, v)[v])
 
 
 def _weighted_subsets(
@@ -225,13 +196,16 @@ def _block_sums(
     return avoid, right[k] + sum(right[b] * left[k - 1 - b] for b in range(k))
 
 
-def _smart_total(g: Graph, cap: int | None) -> int:
-    """Sum over the blocks, leaves first.  ``w[v]`` becomes the number of
-    connected sets through ``v`` inside the blocks headed by ``v`` and
-    those below them.  A set through a DFS root is counted by the root's
-    weight; any other set meets one highest block without its head and is
-    counted there."""
+def _smart_total(g: Graph, cap: int | None, gone: int = 0) -> int:
+    """N(G - gone): a sum over the blocks of G, leaves first, where the
+    vertices of ``gone`` weigh 0 and all others 1.  ``w[v]`` becomes the
+    weighted number of connected sets through ``v`` inside the blocks
+    headed by ``v`` and those below them.  A set through a DFS root is
+    counted by the root's weight; any other set meets one highest block
+    without its head and is counted there."""
     w = [1] * g.n
+    for v in bits(gone):
+        w[v] = 0
     total = below = 0
     for block, head in blocks(g):
         avoid, through = _block_sums(g, block, head, w, cap)
@@ -252,3 +226,25 @@ def smart_count(g: Graph, cap: int | None = None) -> CountResult:
     equals ``oracle_count`` where both run.
     """
     return CountResult(_smart_total(g, cap))
+
+
+def smart_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
+    """Count of connected sets through ``v``: N(G) - N(G - v), both from
+    the block pass of G, so under ``cap`` exactly when ``smart_count`` is."""
+    _check_vertices(g, v)
+    return RootedCount(v, _smart_total(g, cap) - _smart_total(g, cap, 1 << v))
+
+
+def smart_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
+    """Count of connected sets through both ``u`` and ``v``, by inclusion
+    and exclusion: N(G) - N(G - u) - N(G - v) + N(G - u - v)."""
+    _check_vertices(g, u, v)
+    without = partial(_smart_total, g, cap)
+    return without(0) - without(1 << u) - without(1 << v) + without(1 << u | 1 << v)
+
+
+def tree_rooted_count(t: Graph, v: int) -> RootedCount:
+    """Rooted count in a tree, checked to be one, by the block pass."""
+    if t.edge_count != t.n - 1 or not is_connected(t):
+        raise ContractViolationError("tree_rooted_count requires a tree input")
+    return smart_count_rooted(t, v)

@@ -6,8 +6,9 @@ is preserved.  Surgery sites are supplied explicitly by the caller: the
 verification harness has no surgery sweep, and the only site discovery
 is in the test suite (``tests/test_transforms.py``).  Where an exact count
 delta is available in closed form (the branch shift), it is computed from
-rooted counts of the parts and is exact; the other surgeries carry a
-proven direction only, which the test suite checks against the oracle.
+rooted counts of the parts, taken by the block pass, and is exact; the
+other surgeries carry a proven direction only, which the test suite
+checks against the oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .canon import canonical_certificate
-from .counting import oracle_count_rooted
+from .counting import smart_count_pair, smart_count_rooted
 from .enumeration import extract_core, pendant_free_core
 from .errors import ContractViolationError, ParameterError
 from .families import E_NAMES, KINDS, FamilySpec, build
-from .graphs import Graph, bits, delete_vertices, is_connected
+from .graphs import Graph, bits, is_connected
 
 
 @dataclass(frozen=True)
@@ -200,12 +201,6 @@ def glue_at(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     return Graph.from_edges(g1.n + g2.n - 1, edges)
 
 
-def _rooted_in_remainder(m: Graph, keep: int, drop: int) -> int:
-    """Rooted count at ``keep`` after deleting ``drop`` from ``m``."""
-    rest, index_map = delete_vertices(m, 1 << drop)
-    return oracle_count_rooted(rest, index_map.index(keep)).value
-
-
 def branch_shift(
     left: Graph,
     l: int,
@@ -220,8 +215,9 @@ def branch_shift(
 
     ``glued_apart`` has the side graphs at u and v; ``glued_left`` stacks
     both at u, ``glued_right`` both at v.  The deltas come from the
-    rooted-count product formula and satisfy, for non-trivial connected
-    parts, ``max(delta_left, delta_right) > 0``.
+    rooted-count product formula, with rooted and pair counts from the
+    block pass, and satisfy, for non-trivial connected parts,
+    ``max(delta_left, delta_right) > 0``.
     """
     for name, part in (("left", left), ("middle", middle), ("right", right)):
         if part.n < 2:
@@ -238,10 +234,12 @@ def branch_shift(
     glued_left = glue_at(glue_at(middle, u, left, l), u, right, r)
     glued_right = glue_at(glue_at(middle, v, left, l), v, right, r)
 
-    n_l = oracle_count_rooted(left, l).value
-    n_r = oracle_count_rooted(right, r).value
-    m_minus_v_at_u = _rooted_in_remainder(middle, u, v)
-    m_minus_u_at_v = _rooted_in_remainder(middle, v, u)
+    n_l = smart_count_rooted(left, l).value
+    n_r = smart_count_rooted(right, r).value
+    # Sets of the middle through one attachment vertex and not the other.
+    both = smart_count_pair(middle, u, v)
+    m_minus_v_at_u = smart_count_rooted(middle, u).value - both
+    m_minus_u_at_v = smart_count_rooted(middle, v).value - both
 
     delta_left = (n_r - 1) * (n_l * m_minus_v_at_u - m_minus_u_at_v)
     delta_right = (n_l - 1) * (n_r * m_minus_u_at_v - m_minus_v_at_u)

@@ -9,7 +9,7 @@ import pytest
 
 from connsets import cycle_to_tadpole, subtree_to_star
 from connsets.cli import main
-from connsets.counting import oracle_count
+from connsets.counting import oracle_count, oracle_count_pair, oracle_count_rooted
 from connsets.families import KINDS, build, closed_form, parse_family_spec
 from connsets.graphs import MAX_VERTICES, Graph, from_graph6, mask_of, to_graph6
 
@@ -35,8 +35,8 @@ def test_count_rooted_and_pair(capsys):
 
 
 def test_count_methods_agree(capsys):
-    # Within --cap the oracle counts; past it the cut-vertex decomposition
-    # does, with the cap bounding each 2-connected block.
+    # The block pass counts every graph, with --cap bounding each block
+    # that is not a cycle.
     expected = {
         ("L:9",): 60,
         ("theta:10,10,10", "--cap", "30"): 5563,
@@ -64,6 +64,24 @@ def test_count_cap_bounds_each_block_past_the_graph(capsys):
     assert (code, out) == (4, "") and "over 26 vertices exceeds the cap of 24" in err
     code, out, _ = run(capsys, "family", "theta:10,10,10", "--count", "--cap", "26")
     assert code == 0 and out.splitlines()[1] == "5563"
+    # --root and --pair count with the same blocks, under the same cap.
+    for flags, expected in (
+        (("--root", "0"), oracle_count_rooted(g, 0, 27).value),
+        (("--pair", "0,26"), oracle_count_pair(g, 0, 26, 27)),
+    ):
+        code, out, err = run(capsys, "count", "--graph6", to_graph6(g), *flags)
+        assert (code, out) == (4, "") and "exceeds the cap of 24" in err, flags
+        code, out, _ = run(capsys, "count", "--graph6", to_graph6(g), *flags, "--cap", "26")
+        assert (code, out) == (0, f"{expected}\n"), flags
+
+
+def test_count_root_and_pair_past_the_oracle_cap(capsys):
+    for argv, expected in (
+        (("--family", "path:2000", "--root", "0"), 2000),
+        (("--family", "path:2000", "--pair", "0,1999"), 1),
+        (("--family", "star:30", "--root", "0"), 2**29),
+    ):
+        assert run(capsys, "count", *argv) == (0, f"{expected}\n", ""), argv
 
 
 def test_count_at_the_vertex_ceiling(capsys):
@@ -256,6 +274,28 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
             assert code == 3 and out == "" and "--cap" in err, (argv, bad)
 
 
+def test_unwritable_out_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    import connsets.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
+    for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
+        monkeypatch.setattr(cli.verify_mod, name, refuse)
+    for argv, out in (
+        (("verify", "min", "--n", "12", "--cap", "12"), tmp_path),
+        (("enumerate", "--n", "11"), tmp_path / "missing" / "x"),
+    ):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (5, "") and err.startswith("file error:"), argv
+    monkeypatch.undo()
+    # A sweep that stops on a cap leaves no file behind.
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "tree-bound", "--n", "9", "--cap", "8", "--out", str(target))
+    assert code == 4 and not target.exists()
+
+
 def test_verify_output_does_not_depend_on_generation_order(capsys, monkeypatch):
     # Past the labelled sweep the corpus comes in generation order;
     # attainers and equality cases are reported in certificate order.
@@ -358,6 +398,27 @@ def test_transform_branch_shift(capsys):
     payload = json.loads(out)
     assert payload["delta_left"] == 2
     assert from_graph6(payload["apart_graph6"]).n == 5
+
+
+def test_transform_branch_shift_past_the_oracle_cap(capsys):
+    # A 30-vertex path as the left part: the deltas are oracle differences
+    # taken with the cap raised to the glued order.
+    left, middle, right = Graph.from_edges(30, [(i, i + 1) for i in range(29)]), "Bg", "A_"
+    code, out, _ = run(
+        capsys,
+        "transform",
+        "branch-shift",
+        "--left", to_graph6(left), "--left-vertex", "3",
+        "--mid", middle, "--mid-u", "0", "--mid-v", "2",
+        "--right", right, "--right-vertex", "0",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    n = 30 + 3 + 2 - 2
+    base = oracle_count(from_graph6(payload["apart_graph6"]), n).total
+    for side in ("left", "right"):
+        glued = from_graph6(payload[f"{side}_graph6"])
+        assert payload[f"delta_{side}"] == oracle_count(glued, n).total - base, side
 
 
 def test_verify_json_and_exit(capsys):

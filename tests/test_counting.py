@@ -4,6 +4,8 @@ divide-and-conquer counter."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connsets import (
     ContractViolationError,
@@ -17,6 +19,8 @@ from connsets import (
     oracle_count_pair,
     oracle_count_rooted,
     smart_count,
+    smart_count_pair,
+    smart_count_rooted,
     tree_rooted_count,
 )
 from connsets.enumeration import enumerate_trees, generate_bicyclic
@@ -256,6 +260,46 @@ def test_smart_count_equals_oracle_everywhere():
                       if a == new[i - 1] or rng.random() < 0.6]
         g = Graph.from_edges(n, edges)
         assert smart_count(g).total == oracle_count(g).total
+
+
+def _assert_rooted_and_pairs_equal_the_oracle(g: Graph) -> None:
+    for v in range(g.n):
+        rooted = smart_count_rooted(g, v)
+        assert rooted == oracle_count_rooted(g, v), (g.edges(), v)
+        for u in range(v):
+            assert smart_count_pair(g, u, v) == oracle_count_pair(g, u, v), (
+                g.edges(), u, v
+            )
+
+
+@st.composite
+def graphs_with_dense_blocks(draw):
+    """Graphs on at most 9 vertices at any density, connected or not; some
+    carry a K4 (w = 4) or a wheel on w vertices, hub 0, among their edges."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = set(draw(st.sets(st.sampled_from(pairs)))) if pairs else set()
+    w = draw(st.sampled_from([0, *range(4, n + 1)]))
+    if w:
+        chosen |= {(0, i) for i in range(1, w)}
+        chosen |= {(i, i + 1) for i in range(1, w - 1)} | {(1, w - 1)}
+    return Graph.from_edges(n, sorted(chosen))
+
+
+def test_block_pass_rooted_and_pair_equal_the_oracle():
+    for n in range(4, 9):
+        for g in generate_bicyclic(n, n):
+            _assert_rooted_and_pairs_equal_the_oracle(g)
+    with pytest.raises(ContractViolationError, match="two distinct"):
+        smart_count_pair(cycle_graph(3), 1, 1)
+    with pytest.raises(ContractViolationError, match="out of range"):
+        smart_count_rooted(cycle_graph(3), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_dense_blocks())
+def test_block_pass_rooted_and_pair_equal_the_oracle_on_any_graph(g):
+    _assert_rooted_and_pairs_equal_the_oracle(g)
 
 
 def test_monotone_under_edge_addition():
