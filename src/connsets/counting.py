@@ -1,11 +1,12 @@
 """Exact counts of connected induced vertex subsets.
 
-The oracle is the ground truth of the whole package: it enumerates the
-connected sets of a component one by one, growing each from its lowest
-vertex by include/exclude branching over its extension, so its cost is
-proportional to the number of sets it counts.  Everything else (the
-closed forms, the identification algebra and the block pass behind the
-``smart_count*`` functions) is validated against it.
+One include/exclude search serves both counters.  It grows each connected
+set from its lowest vertex, so its cost is proportional to the number of
+sets it counts, and sums a product of vertex weights over them.  The
+oracle, the ground truth of the whole package, runs it with every weight
+1.  The block pass behind the ``smart_count*`` functions runs it, weighted,
+on the blocks of G that are neither a bridge nor a cycle, and is validated
+against the oracle, as are the closed forms and the identification algebra.
 
 Counts of disconnected graphs are defined as the sum over components, the
 convention that makes the vertex-deletion identities total.
@@ -19,7 +20,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import ContractViolationError, ResourceCapError
-from .graphs import Graph, bits, blocks, components, is_connected, subgraph
+from .graphs import Graph, bits, blocks, components, is_connected
 
 DEFAULT_ORACLE_CAP = 24
 
@@ -39,11 +40,12 @@ class RootedCount:
     value: int
 
 
-def _check_cap(g: Graph, cap: int | None) -> None:
+def _check_cap(size: int, cap: int | None) -> None:
+    """An enumeration over ``size`` vertices must fit under ``cap``."""
     limit = DEFAULT_ORACLE_CAP if cap is None else cap
-    if g.n > limit:
+    if size > limit:
         raise ResourceCapError(
-            f"exact enumeration over {g.n} vertices exceeds the cap of {limit}; "
+            f"exact enumeration over {size} vertices exceeds the cap of {limit}; "
             "raise the cap explicitly to proceed"
         )
 
@@ -57,60 +59,65 @@ def _check_vertices(g: Graph, *vs: int) -> None:
             raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
 
 
-def _connected_subsets(adj: tuple[int, ...], domain: int, required: int = 0) -> int:
-    """Count nonempty connected subsets of ``domain`` containing ``required``.
+def _connected_subsets(
+    adj: tuple[int, ...], domain: int, weight: list[int], required: int = 0
+) -> int:
+    """Sum over the nonempty connected subsets of ``domain`` that contain
+    ``required``, each adding the product of ``weight`` over its vertices.
 
     Include/exclude branching: each set grows from its lowest vertex (the
     lowest required vertex when ``required`` is set) by taking one vertex
     of its extension at a time and excluding that vertex from the later
-    branches.  Every node of the search is one distinct connected set, so
-    the cost is O(N * n) for N sets rather than a scan of all subsets.
+    branches, carrying the product along.  A set never leaves the
+    component of its first vertex.  Every node of the search is one
+    distinct connected set, so the cost is O(N * n) for N sets rather
+    than a scan of all subsets.
     """
     if required:
         root = required & -required
         starts = [(root, ~domain | root)]
     else:
         starts = [(1 << v, ~domain | (2 << v) - 1) for v in bits(domain)]
-    count = 0
+    total = 0
     for root, seen in starts:
-        ext = adj[root.bit_length() - 1] & ~seen
-        stack = [(root, ext, seen | ext)]
+        r = root.bit_length() - 1
+        ext = adj[r] & ~seen
+        stack = [(root, ext, seen | ext, weight[r])]
         while stack:
-            s, ext, seen = stack.pop()
+            s, ext, seen, prod = stack.pop()
             if s & required == required:
-                count += 1
+                total += prod
             while ext:
                 low = ext & -ext
                 ext ^= low
-                grow = adj[low.bit_length() - 1] & ~seen
-                stack.append((s | low, ext | grow, seen | grow))
+                u = low.bit_length() - 1
+                grow = adj[u] & ~seen
+                stack.append((s | low, ext | grow, seen | grow, prod * weight[u]))
                 if low & required:
                     break
-    return count
+    return total
 
 
 def oracle_count(g: Graph, cap: int | None = None) -> CountResult:
     """Brute-force count of connected sets (component sum if disconnected)."""
-    _check_cap(g, cap)
-    return CountResult(
-        sum(_connected_subsets(g.adj, comp) for comp in components(g, g.vertex_mask))
-    )
+    _check_cap(g.n, cap)
+    return CountResult(_connected_subsets(g.adj, g.vertex_mask, [1] * g.n))
 
 
 def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
     """Count of connected sets containing ``v``, by direct enumeration."""
     _check_vertices(g, v)
-    _check_cap(g, cap)
-    comp = next(c for c in components(g, g.vertex_mask) if c >> v & 1)
-    return RootedCount(v, _connected_subsets(g.adj, comp, 1 << v))
+    _check_cap(g.n, cap)
+    return RootedCount(v, _connected_subsets(g.adj, g.vertex_mask, [1] * g.n, 1 << v))
 
 
 def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
     """Count of connected sets containing both ``u`` and ``v``."""
     _check_vertices(g, u, v)
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     comp = next(c for c in components(g, g.vertex_mask) if c >> u & 1)
-    return _connected_subsets(g.adj, comp, 1 << u | 1 << v) if comp >> v & 1 else 0
+    both = 1 << u | 1 << v
+    return _connected_subsets(g.adj, comp, [1] * g.n, both) if comp >> v & 1 else 0
 
 
 def combine_identified(n1: int, r1: int, n2: int, r2: int) -> tuple[int, int]:
@@ -140,46 +147,21 @@ def extend_pendant(n_h: int, r_neighbor: int) -> int:
     return n_h + 1 + r_neighbor
 
 
-def _weighted_subsets(
-    adj: tuple[int, ...], weight: list[int], head: int
-) -> tuple[int, int]:
-    """Sums of the weight products of the connected sets of a connected
-    graph, split by whether the set avoids or contains ``head``.
-
-    The oracle's include/exclude search, carrying the product along.
-    """
-    sums = [0, 0]
-    for v in range(len(adj)):
-        seen = (2 << v) - 1
-        ext = adj[v] & ~seen
-        stack = [(1 << v, ext, seen | ext, weight[v])]
-        while stack:
-            s, ext, seen, prod = stack.pop()
-            sums[s >> head & 1] += prod
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                u = low.bit_length() - 1
-                grow = adj[u] & ~seen
-                stack.append((s | low, ext | grow, seen | grow, prod * weight[u]))
-    return sums[0], sums[1]
-
-
 def _block_sums(
     g: Graph, block: int, head: int, w: list[int], cap: int | None
 ) -> tuple[int, int]:
     """Sums over the connected subsets of one block, of the product of
-    ``w`` over their vertices other than ``head``: (avoiding, through) it.
+    ``w`` over their vertices: (avoiding, through) ``head``.
 
     Bridges and cycles sum over their arcs in linear time; any other
-    block is enumerated, under ``cap``.
+    block is enumerated by the oracle's search, under ``cap``.
     """
     size = block.bit_count()
     if size > 2 and sum((g.adj[v] & block).bit_count() for v in bits(block)) > 2 * size:
-        piece, index = subgraph(g, block)
-        _check_cap(piece, cap)
-        weight = [1 if v == head else w[v] for v in index]
-        return _weighted_subsets(piece.adj, weight, index.index(head))
+        _check_cap(size, cap)
+        head_bit = 1 << head
+        avoid = _connected_subsets(g.adj, block & ~head_bit, w)
+        return avoid, _connected_subsets(g.adj, block, w, head_bit)
     arc, prev, v = [], head, (g.adj[head] & block).bit_length() - 1
     while v != head:
         arc.append(w[v])
@@ -193,16 +175,18 @@ def _block_sums(
     right = list(accumulate(arc, mul, initial=1))
     left = list(accumulate(accumulate(reversed(arc), mul, initial=1)))
     k = len(arc)
-    return avoid, right[k] + sum(right[b] * left[k - 1 - b] for b in range(k))
+    through = right[k] + sum(right[b] * left[k - 1 - b] for b in range(k))
+    return avoid, w[head] * through
 
 
 def _smart_total(g: Graph, cap: int | None, gone: int = 0) -> int:
     """N(G - gone): a sum over the blocks of G, leaves first, where the
-    vertices of ``gone`` weigh 0 and all others 1.  ``w[v]`` becomes the
-    weighted number of connected sets through ``v`` inside the blocks
-    headed by ``v`` and those below them.  A set through a DFS root is
-    counted by the root's weight; any other set meets one highest block
-    without its head and is counted there."""
+    vertices of ``gone`` weigh 0 and all others 1.  Each block's sum
+    through its head, which carries ``w[head]``, becomes ``w[head]``: the
+    weighted number of connected sets through the head inside the blocks
+    it heads and those below them.  A set through a DFS root is counted
+    by the root's weight; any other set meets one highest block without
+    its head and is counted there."""
     w = [1] * g.n
     for v in bits(gone):
         w[v] = 0
@@ -210,7 +194,7 @@ def _smart_total(g: Graph, cap: int | None, gone: int = 0) -> int:
     for block, head in blocks(g):
         avoid, through = _block_sums(g, block, head, w, cap)
         total += avoid
-        w[head] *= through
+        w[head] = through
         below |= block & ~(1 << head)
     return total + sum(w[r] for r in range(g.n) if not below >> r & 1)
 
@@ -222,8 +206,9 @@ def smart_count(g: Graph, cap: int | None = None) -> CountResult:
     leaves-first order of :func:`graphs.blocks`: each cut vertex carries
     the count of the sets hanging below it through it, and each block is
     summed once with those weights.  Bridges and cycles take linear time;
-    other blocks are enumerated like the oracle, under ``cap``.  Always
-    equals ``oracle_count`` where both run.
+    other blocks are enumerated by the oracle's search on their vertex
+    mask in G, under ``cap``.  Always equals ``oracle_count`` where both
+    run.
     """
     return CountResult(_smart_total(g, cap))
 

@@ -123,7 +123,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def relabel(self, perm: tuple[int, ...], label: str | None = None) -> "Graph":
+    def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a permutation: position ``i`` of ``perm`` names the old
         vertex that becomes new vertex ``i``."""
         pos = [0] * self.n
@@ -135,7 +135,7 @@ class Graph:
             for u in bits(self.adj[v]):
                 row |= 1 << pos[u]
             adj[i] = row
-        return Graph(self.n, tuple(adj), label)
+        return Graph(self.n, tuple(adj))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = f" {self.label!r}" if self.label else ""
@@ -190,7 +190,7 @@ def is_connected(g: Graph) -> bool:
     return induced_is_connected(g, g.vertex_mask)
 
 
-def subgraph(g: Graph, s: int, label: str | None = None) -> tuple[Graph, tuple[int, ...]]:
+def subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``s``, reindexed contiguously.
 
     Returns the new graph together with the index map: entry ``i`` is the
@@ -207,7 +207,7 @@ def subgraph(g: Graph, s: int, label: str | None = None) -> tuple[Graph, tuple[i
         for u in bits(g.adj[v] & s):
             row |= 1 << pos[u]
         adj.append(row)
-    return Graph(len(keep), tuple(adj), label), tuple(keep)
+    return Graph(len(keep), tuple(adj)), tuple(keep)
 
 
 def delete_vertices(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
@@ -303,7 +303,7 @@ def to_graph6(g: Graph) -> str:
     return head + packed.translate(_TO_GRAPH6)[:need].decode("ascii")
 
 
-def from_graph6(text: str, label: str | None = None) -> Graph:
+def from_graph6(text: str) -> Graph:
     """Decode a graph6 string (optionally prefixed ``>>graph6<<``): the
     body becomes one bit string, and each row one ``int(..., 2)``."""
     s = text.strip().removeprefix(">>graph6<<")
@@ -334,7 +334,7 @@ def from_graph6(text: str, label: str | None = None) -> Graph:
         adj[j] |= row
         for i in bits(row):
             adj[i] |= 1 << j
-    return Graph(n, tuple(adj), label)
+    return Graph(n, tuple(adj))
 
 
 def to_edge_list(g: Graph) -> str:
@@ -344,7 +344,7 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_edge_list(text: str, label: str | None = None) -> Graph:
+def from_edge_list(text: str) -> Graph:
     rows = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not rows:
         raise FormatError("empty edge list")
@@ -367,6 +367,6 @@ def from_edge_list(text: str, label: str | None = None) -> Graph:
         except ValueError as exc:
             raise FormatError(f"bad edge line {ln!r}") from exc
     try:
-        return Graph.from_edges(n, edges, label)
+        return Graph.from_edges(n, edges)
     except ContractViolationError as exc:
         raise FormatError(str(exc)) from exc

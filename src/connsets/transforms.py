@@ -56,6 +56,9 @@ def annotate_family(g: Graph) -> str | None:
 def _check_hanging_cycle(g: Graph, cycle: int, anchor: int, min_size: int) -> int:
     """Validate that ``cycle`` induces a chordless cycle meeting the rest
     of the graph only at ``anchor``; returns its length."""
+    for v in (anchor, *bits(cycle & ~g.vertex_mask)):
+        if not 0 <= v < g.n:
+            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
     q = cycle.bit_count()
     if not cycle >> anchor & 1:
         raise ContractViolationError("anchor must lie on the designated cycle")

@@ -36,6 +36,10 @@ PASS = "pass"
 FAIL = "fail"
 INFORMATIONAL = "informational"
 
+# Largest order where the labelled guard runs and the oracle recounts every
+# class: crosscheck.MAX_CROSSCHECK_N, named here to keep numpy out above it.
+LABELLED_GUARD_N = 8
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -122,13 +126,16 @@ def _total(g: Graph) -> int:
 def _checked_counts(n: int, graphs: list[Graph]) -> list[int]:
     """Block-pass counts of a corpus, cross-checked by the oracle.
 
-    At n <= 8, where the labelled guard runs, the oracle recounts every
-    class.  Above that it recounts the classes at the least count and at
-    the two largest, the only ones a verdict of the minimum or maximum
-    sweep reads.  A disagreement is a contract violation naming the class.
+    Up to ``LABELLED_GUARD_N``, where the labelled guard runs, the oracle
+    recounts every class.  Above that it recounts the classes at the
+    least count and at the two largest, the only ones a verdict of the
+    minimum or maximum sweep reads.  A disagreement is a contract
+    violation naming the class.
     """
     counts = [smart_count(g).total for g in graphs]
-    read = set(counts) if n <= 8 else {min(counts), *sorted(set(counts))[-2:]}
+    read = set(counts)
+    if n > LABELLED_GUARD_N:
+        read = {min(read), *sorted(read)[-2:]}
     picked = [i for i, c in enumerate(counts) if c in read]
     for i, truth in zip(picked, count_stream([graphs[i] for i in picked])):
         if counts[i] != truth:
@@ -152,12 +159,14 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     automorphisms must form the whole group (order from the closed form
     of the shape), and the forests it keeps must number the orbits that
     Burnside's lemma counts.  Here the corpus must also be nonempty and
-    match OEIS A001429 at every tabulated order.  For n <= 8 the classes
-    come in certificate order and their certificates must be exactly
-    those of the independent labelled generator; above that they come in
-    generation order and no certificate is built.
+    match OEIS A001429 at every tabulated order.  Up to
+    ``LABELLED_GUARD_N`` the classes come in certificate order and their
+    certificates must be exactly those of the independent labelled
+    generator; above that they come in generation order and no
+    certificate is built.
     """
-    graphs = enumerate_bicyclic(n, cap) if n <= 8 else list(generate_bicyclic(n, cap))
+    guarded = n <= LABELLED_GUARD_N
+    graphs = enumerate_bicyclic(n, cap) if guarded else list(generate_bicyclic(n, cap))
     if not graphs:
         raise ContractViolationError(f"enumeration produced no graphs at n={n}")
     if n in _BICYCLIC_CLASSES and len(graphs) != _BICYCLIC_CLASSES[n]:
@@ -165,8 +174,8 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
             f"enumeration produced {len(graphs)} classes at n={n}, "
             f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
         )
-    if n <= 8:
-        # Imported here so that numpy stays out of runs above n = 8.
+    if guarded:
+        # Imported here so that numpy stays out of unguarded runs.
         from .crosscheck import labeled_bicyclic_certificates
 
         own = sorted(canonical_certificate(g).text for g in graphs)
@@ -466,7 +475,7 @@ def verify_tree_bound(max_n: int = 9, cap: int | None = None) -> VerificationRep
             for v in range(n):
                 value = tree_rooted_count(t, v).value
                 swept += 1
-                is_star_center = n <= 2 or (t.edge_count == n - 1 and degrees[v] == n - 1)
+                is_star_center = n <= 2 or degrees[v] == n - 1
                 if value > bound:
                     failures.append(f"{to_graph6(t)} at {v}: {value} > {bound}")
                 elif (value == bound) != is_star_center:

@@ -25,50 +25,43 @@ def star_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
+def naive_adjacency(g: Graph) -> dict[int, list[int]]:
+    return {v: [u for u in range(g.n) if g.has_edge(v, u)] for v in range(g.n)}
+
+
+def naive_connected(adjacency: dict[int, list[int]], subset) -> bool:
+    """Whether the nonempty ``subset`` induces a connected subgraph."""
+    members = set(subset)
+    start = next(iter(members))
+    seen = {start}
+    todo = [start]
+    while todo:
+        v = todo.pop()
+        for u in adjacency[v]:
+            if u in members and u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen == members
+
+
 def naive_count(g: Graph) -> int:
-    adjacency = {v: [u for u in range(g.n) if g.has_edge(v, u)] for v in range(g.n)}
-
-    def connected(subset: tuple[int, ...]) -> bool:
-        members = set(subset)
-        seen = {subset[0]}
-        todo = [subset[0]]
-        while todo:
-            v = todo.pop()
-            for u in adjacency[v]:
-                if u in members and u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        return seen == members
-
+    adjacency = naive_adjacency(g)
     return sum(
         1
         for r in range(1, g.n + 1)
         for subset in itertools.combinations(range(g.n), r)
-        if connected(subset)
+        if naive_connected(adjacency, subset)
     )
 
 
 def naive_count_containing(g: Graph, required: tuple[int, ...]) -> int:
-    adjacency = {v: [u for u in range(g.n) if g.has_edge(v, u)] for v in range(g.n)}
+    adjacency = naive_adjacency(g)
     need = set(required)
-
-    def connected(members: set[int]) -> bool:
-        start = next(iter(members))
-        seen = {start}
-        todo = [start]
-        while todo:
-            v = todo.pop()
-            for u in adjacency[v]:
-                if u in members and u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        return seen == members
-
     rest = [v for v in range(g.n) if v not in need]
     total = 0
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
-            if connected(need | set(extra)):
+            if naive_connected(adjacency, need | set(extra)):
                 total += 1
     return total
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -460,6 +462,14 @@ def test_files_round_trip(tmp_path, capsys):
 def test_exit_codes(tmp_path):
     assert main(["family", "L:4"]) == 3
     assert main(["count", "--family", "theta:10,10,10"]) == 4
+    # Out-of-range surgery sites are contract violations, not tracebacks.
+    for surgery, family, cycle, anchor in (
+        ("cycle-to-tadpole", "cycle:5", "0,1,2,3,4,5", "0"),
+        ("part-to-q", "typeII:3,6", "0,1,2,9", "0"),
+        ("cycle-to-tadpole", "cycle:5", "0,1,2,3,4", "-1"),
+    ):
+        args = ["transform", surgery, "--family", family, "--cycle", cycle]
+        assert main([*args, "--anchor", anchor]) == 3
     assert main(["count", "--graph6", "####"]) == 5
     assert main(["count", "--family", "A:4", "--pair", "0"]) == 5
     assert main(["count", "--file", "/nonexistent/path"]) == 5
@@ -502,3 +512,12 @@ def test_identical_invocations_identical_bytes(capsys):
     _, first, _ = run(capsys, "verify", "min", "--n", "6")
     _, second, _ = run(capsys, "verify", "min", "--n", "6")
     assert first == second
+
+
+def test_cli_import_keeps_numpy_out():
+    # The benchmark's setup time is this import; numpy loads only with
+    # the labelled guard.
+    probe = "import sys, connsets.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 """The counting oracle, the identification algebra, and the
 divide-and-conquer counter."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -29,6 +31,8 @@ from connsets.graphs import MAX_VERTICES
 
 from conftest import (
     cycle_graph,
+    naive_adjacency,
+    naive_connected,
     naive_count,
     naive_count_containing,
     path_graph,
@@ -260,6 +264,56 @@ def test_smart_count_equals_oracle_everywhere():
                       if a == new[i - 1] or rng.random() < 0.6]
         g = Graph.from_edges(n, edges)
         assert smart_count(g).total == oracle_count(g).total
+
+
+def test_weighted_search_equals_a_subset_scan():
+    # The one search at any weights, and the block sums of the block pass
+    # (searched or by the arc rule, at every head), equal a scan of every
+    # subset with the dictionary connectivity check of conftest.
+    import connsets.counting as counting
+    from connsets.graphs import bits, blocks
+
+    def scan(adjacency, domain, w, required=()):
+        return sum(
+            math.prod(w[v] for v in subset)
+            for r in range(1, len(domain) + 1)
+            for subset in itertools.combinations(domain, r)
+            if set(required) <= set(subset) and naive_connected(adjacency, subset)
+        )
+
+    def complete(n):
+        return Graph.from_edges(n, itertools.combinations(range(n), 2))
+
+    spokes = [(0, i) for i in range(1, 6)]
+    wheel = Graph.from_edges(6, spokes + [(i, i % 5 + 1) for i in range(1, 6)])
+    graphs = [
+        complete(4),
+        wheel,
+        build(FamilySpec("theta", (2, 3, 4))),
+        build(FamilySpec("E8")),
+        complete(5),
+        # A tailed triangle, a separate edge and an isolated vertex.
+        Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]),
+    ]
+    rng = random.Random(20)
+    for g in graphs:
+        adjacency = naive_adjacency(g)
+        every = list(range(g.n))
+        for _ in range(3):
+            w = [rng.choice((0, 1, 2, 3, 5)) for _ in range(g.n)]
+            assert counting._connected_subsets(g.adj, 0, w) == 0
+            search = counting._connected_subsets(g.adj, g.vertex_mask, w)
+            assert search == scan(adjacency, every, w)
+            for head in every:
+                through = counting._connected_subsets(g.adj, g.vertex_mask, w, 1 << head)
+                assert through == scan(adjacency, every, w, (head,)), (g.edges(), head)
+            for block, _ in blocks(g):
+                inside = list(bits(block))
+                for head in inside:
+                    avoid = scan(adjacency, [v for v in inside if v != head], w)
+                    through = scan(adjacency, inside, w, (head,))
+                    sums = counting._block_sums(g, block, head, w, None)
+                    assert sums == (avoid, through), (g.edges(), inside, head, w)
 
 
 def _assert_rooted_and_pairs_equal_the_oracle(g: Graph) -> None:

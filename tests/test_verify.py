@@ -272,3 +272,10 @@ def test_block_pass_disagreeing_with_the_oracle_is_a_contract_violation(monkeypa
     message = str(excinfo.value)
     assert f"counts {true + 1} and oracle {true}" in message
     assert to_graph6(target) in message and f"n={n}" in message
+
+
+def test_labelled_guard_order_is_the_crosscheck_limit():
+    import connsets.verify as verify_mod
+    from connsets.crosscheck import MAX_CROSSCHECK_N
+
+    assert verify_mod.LABELLED_GUARD_N == MAX_CROSSCHECK_N
