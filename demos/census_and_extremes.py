@@ -28,7 +28,7 @@ print("How many bicyclic graphs are there?")
 print("=" * 72)
 for n in range(4, 10):
     graphs = enumerate_bicyclic(n)
-    kinds = Counter(extract_core(g).kind for g in graphs)
+    kinds = Counter(extract_core(g)[0] for g in graphs)
     print(f"  n={n}: {len(graphs):>4} classes  "
           f"(cores: I={kinds.get('I', 0)}, II={kinds.get('II', 0)}, "
           f"III={kinds.get('III', 0)})")
@@ -77,5 +77,5 @@ print(f"  the runner-up value {second} equals N(R8) "
       f"= {oracle_count(build(parse_family_spec('R:8'))).total}")
 
 # The stream is isomorph-free: certificates are strictly increasing.
-certs = [canonical_certificate(g).text for g in enumerate_bicyclic(7)]
+certs = [canonical_certificate(g) for g in enumerate_bicyclic(7)]
 print(f"\n  stream order is canonical: {certs == sorted(set(certs))}")

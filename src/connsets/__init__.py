@@ -8,7 +8,7 @@ graphs, the count-monotone surgeries, and a verification harness that
 replays the extremal claims over exhaustive small-order corpora.
 """
 
-from .canon import Certificate, canonical_certificate, canonical_form, is_isomorphic
+from .canon import canonical_certificate, canonical_form, is_isomorphic
 from .counting import (
     CountResult,
     DEFAULT_ORACLE_CAP,
@@ -24,7 +24,6 @@ from .counting import (
     tree_rooted_count,
 )
 from .enumeration import (
-    CoreClassification,
     enumerate_bicyclic,
     enumerate_trees,
     extract_core,
@@ -84,10 +83,8 @@ from .verify import (
 
 __all__ = [
     "BranchShift",
-    "Certificate",
     "ConnsetsError",
     "ContractViolationError",
-    "CoreClassification",
     "CountResult",
     "DEFAULT_ORACLE_CAP",
     "E_THETA",

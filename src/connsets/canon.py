@@ -1,9 +1,9 @@
 """Exact canonical labelling for small graphs.
 
-The certificate of a graph is the graph6 encoding of a canonical
-relabelling, chosen as the lexicographically smallest upper-triangle bit
-string over all labellings compatible with an equitable partition
-refinement.  The search individualises one vertex of the first
+The certificate of a graph is a plain ``str``, the graph6 encoding of a
+canonical relabelling, chosen as the lexicographically smallest
+upper-triangle bit string over all labellings compatible with an
+equitable partition refinement.  The search individualises one vertex of the first
 non-singleton cell at a time, re-refines, and prunes branches that are
 images of already-explored ones under automorphisms discovered along the
 way.  This is exact (never heuristic): two graphs receive equal
@@ -17,23 +17,9 @@ automorphisms it has met, those it meets generate the whole group
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph, to_graph6
-
-
-@dataclass(frozen=True, order=True)
-class Certificate:
-    """Canonical byte string of an isomorphism class.
-
-    ``text`` is the graph6 encoding of the canonical relabelling; the
-    vertex and edge counts are carried along for convenience.
-    """
-
-    text: str
-    n: int
-    edges: int
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -166,10 +152,9 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
-def canonical_certificate(g: Graph) -> Certificate:
-    """Labelling-invariant certificate: equal iff isomorphic."""
-    canon = canonical_form(g)
-    return Certificate(to_graph6(canon), canon.n, canon.edge_count)
+def canonical_certificate(g: Graph) -> str:
+    """The graph6 string of the canonical form: equal iff isomorphic."""
+    return to_graph6(canonical_form(g))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

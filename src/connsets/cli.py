@@ -7,7 +7,11 @@ Subcommands
 ``family``     build a named family instance, print graph6 and, on request, its count
 ``enumerate``  stream all n-vertex bicyclic graphs, each with what ``count`` prints
 ``transform``  apply one of the named surgeries to a graph
-``verify``     run a claim sweep and emit a machine-readable report
+``verify``     run a claim sweep and emit a machine-readable report; ``--n``
+               is the one order of min, max and vertex-bound and the top
+               order of closed-forms and tree-bound, and ``--cap`` caps the
+               corpus order, the oracle (closed-forms) or the tree order
+               (tree-bound); lemmas ignores both
 
 Inputs are graph6 strings, edge-list files, or family spec strings such
 as ``L:9`` or ``theta:2,3,4``; exactly one input source per invocation.
@@ -99,7 +103,6 @@ def _check_cap(cap: int | None) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
     g = _load_graph(args)
     lines = []
     if args.root is None and args.pair is None:
@@ -117,7 +120,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
     g = build(parse_family_spec(args.spec))
     lines = [to_graph6(g)]
     if args.count:
@@ -131,7 +133,6 @@ _CAP_HELP = (
 )
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
     graphs = enumerate_bicyclic(args.n, args.cap)
 
     def rows():
@@ -139,7 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             yield "graph6,certificate,connected_sets,core_kind"
             for g in graphs:
                 c = smart_count(g).total
-                yield f"{to_graph6(g)},{canonical_certificate(g).text},{c},{extract_core(g).kind}"
+                yield f"{to_graph6(g)},{canonical_certificate(g)},{c},{extract_core(g)[0]}"
         else:
             for g in graphs:
                 yield f"{to_graph6(g)} {smart_count(g).total}"
@@ -154,11 +155,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_vertex_list(text: str) -> int:
+def _parse_vertex_list(text: str, g: Graph) -> int:
     try:
-        return mask_of(int(tok) for tok in text.split(","))
+        ids = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise FormatError("--cycle expects comma-separated vertex ids") from None
+    for v in sorted(ids):
+        if not 0 <= v < g.n:
+            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
+    return mask_of(ids)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
@@ -195,7 +200,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         if args.cycle is None or args.anchor is None:
             raise ContractViolationError(f"{args.surgery} needs --cycle and --anchor")
         surgery = cycle_to_tadpole if args.surgery == "cycle-to-tadpole" else part_to_q
-        outcome = surgery(g, _parse_vertex_list(args.cycle), args.anchor)
+        outcome = surgery(g, _parse_vertex_list(args.cycle, g), args.anchor)
     payload = {
         "result_graph6": to_graph6(outcome.result),
         "predicted_delta": outcome.predicted_delta,
@@ -245,7 +250,6 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
     if args.n is not None and args.n < 1:
         raise ParameterError(f"--n must be at least 1, got {args.n}")
     claims = list(_CLAIM_RUNNERS) if args.claim == "all" else [args.claim]
@@ -318,10 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
         "claim",
         choices=tuple(_CLAIM_RUNNERS) + ("all",),
     )
-    p_ver.add_argument("--n", type=int, help="restrict the sweep to one order")
+    p_ver.add_argument(
+        "--n",
+        type=int,
+        help="the one order for min, max and vertex-bound; the top order of "
+        "closed-forms and tree-bound; lemmas ignores it",
+    )
     p_ver.add_argument("--seed", type=int, default=2024)
     p_ver.add_argument(
-        "--cap", type=int, help="size cap override (oracle vertices for closed-forms)"
+        "--cap",
+        type=int,
+        help="corpus-order cap for min, max and vertex-bound; oracle vertices "
+        "for closed-forms; tree-order cap for tree-bound; lemmas ignores it",
     )
     p_ver.add_argument("--format", choices=("json", "csv"), default="json")
     p_ver.add_argument("--out", help="write output here instead of stdout")
@@ -335,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
+        _check_cap(getattr(args, "cap", None))
         return args.func(args)
     except ResourceCapError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

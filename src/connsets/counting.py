@@ -34,9 +34,8 @@ class CountResult:
 
 @dataclass(frozen=True)
 class RootedCount:
-    """Number of connected sets through a designated vertex."""
+    """Number of connected sets through the vertex the caller named."""
 
-    at: int
     value: int
 
 
@@ -108,7 +107,7 @@ def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount
     """Count of connected sets containing ``v``, by direct enumeration."""
     _check_vertices(g, v)
     _check_cap(g.n, cap)
-    return RootedCount(v, _connected_subsets(g.adj, g.vertex_mask, [1] * g.n, 1 << v))
+    return RootedCount(_connected_subsets(g.adj, g.vertex_mask, [1] * g.n, 1 << v))
 
 
 def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
@@ -217,7 +216,7 @@ def smart_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
     """Count of connected sets through ``v``: N(G) - N(G - v), both from
     the block pass of G, so under ``cap`` exactly when ``smart_count`` is."""
     _check_vertices(g, v)
-    return RootedCount(v, _smart_total(g, cap) - _smart_total(g, cap, 1 << v))
+    return RootedCount(_smart_total(g, cap) - _smart_total(g, cap, 1 << v))
 
 
 def smart_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:

@@ -138,7 +138,7 @@ def _sweep_error(n: int, rep: int, what: str) -> ContractViolationError:
 @lru_cache(maxsize=None)
 def labeled_bicyclic_classes(n: int) -> tuple[tuple[str, int], ...]:
     """Isomorphism classes of n-vertex bicyclic graphs from the labelled
-    sweep: sorted (certificate text, labelled orbit size) pairs.
+    sweep: sorted (certificate, labelled orbit size) pairs.
 
     The orbit sizes sum to the number of connected labelled graphs, which
     pins down that the orbit partition was exhaustive.
@@ -177,8 +177,7 @@ def labeled_bicyclic_classes(n: int) -> tuple[tuple[str, int], ...]:
             raise _sweep_error(n, rep, "the orbit overlaps a previously swept class")
         seen[pos] = True
         total += distinct
-        cert = canonical_certificate(_graph_from_mask(n, rep))
-        classes.append((cert.text, distinct))
+        classes.append((canonical_certificate(_graph_from_mask(n, rep)), distinct))
         cursor = _next_unseen(seen, cursor + 1)
     if total != len(masks):
         raise ContractViolationError(
@@ -189,7 +188,7 @@ def labeled_bicyclic_classes(n: int) -> tuple[tuple[str, int], ...]:
 
 
 def labeled_bicyclic_certificates(n: int) -> tuple[str, ...]:
-    return tuple(text for text, _ in labeled_bicyclic_classes(n))
+    return tuple(cert for cert, _ in labeled_bicyclic_classes(n))
 
 
 def labeled_tree_certificates(n: int) -> tuple[str, ...]:
@@ -199,9 +198,9 @@ def labeled_tree_certificates(n: int) -> tuple[str, ...]:
     Independent of the level-sequence generator; used only in tests.
     """
     if n == 1:
-        return (canonical_certificate(Graph.from_edges(1, [])).text,)
+        return (canonical_certificate(Graph.from_edges(1, [])),)
     if n == 2:
-        return (canonical_certificate(Graph.from_edges(2, [(0, 1)])).text,)
+        return (canonical_certificate(Graph.from_edges(2, [(0, 1)])),)
     certs = set()
     for seq in itertools.product(range(n), repeat=n - 2):
         degree = [1] * n
@@ -217,5 +216,5 @@ def labeled_tree_certificates(n: int) -> tuple[str, ...]:
             if degree[v] == 1:
                 bisect.insort(leaves, v)
         edges.append((leaves[0], leaves[1]))
-        certs.add(canonical_certificate(Graph.from_edges(n, edges)).text)
+        certs.add(canonical_certificate(Graph.from_edges(n, edges)))
     return tuple(sorted(certs))

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import Certificate, automorphism_group, canonical_certificate
+from .canon import automorphism_group, canonical_certificate
 from .errors import ContractViolationError, ResourceCapError
 from .families import FamilySpec, build
 from .graphs import (
@@ -98,7 +97,7 @@ def enumerate_trees(n: int, cap: int | None = None) -> list[Graph]:
     cap = DEFAULT_TREE_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n <= {cap}, got {n}")
-    seen: dict[Certificate, Graph] = {}
+    seen: dict[str, Graph] = {}
     for levels in rooted_tree_level_sequences(n):
         t = Graph.from_edges(n, tree_edges_from_levels(levels))
         seen.setdefault(canonical_certificate(t), t)
@@ -107,36 +106,6 @@ def enumerate_trees(n: int, cap: int | None = None) -> list[Graph]:
 
 # ---------------------------------------------------------------------------
 # Core extraction
-
-
-@dataclass(frozen=True)
-class CoreClassification:
-    """A bicyclic graph decomposed into its pendant-free core plus the
-    rooted trees hanging off the core vertices.
-
-    ``core`` is reindexed; ``core_vertices`` maps new core ids to the ids
-    in the parent graph.  ``attachments`` maps every parent-graph core
-    vertex to the edge set (parent labels) of its hanging tree, empty for
-    a trivial attachment.  ``kind`` is "I", "II" or "III" with the shape
-    parameters (p, q, r), (p, q) or (a, b, c).
-    """
-
-    core: Graph
-    core_vertices: tuple[int, ...]
-    kind: str
-    params: tuple[int, ...]
-    attachments: dict[int, tuple[tuple[int, int], ...]]
-
-    def reassembled_edges(self, g: Graph) -> list[tuple[int, int]]:
-        """All edges of the parent graph, rebuilt from core + attachments."""
-        core_old = set(self.core_vertices)
-        edges = [
-            tuple(sorted((self.core_vertices[u], self.core_vertices[v])))
-            for u, v in self.core.edges()
-        ]
-        for root in sorted(core_old):
-            edges.extend(tuple(sorted(e)) for e in self.attachments[root])
-        return sorted(edges)
 
 
 def _require_bicyclic(g: Graph) -> None:
@@ -218,17 +187,15 @@ def pendant_free_core(g: Graph) -> tuple[int, dict[int, tuple[tuple[int, int], .
     return remaining, attachments
 
 
-def extract_core(g: Graph) -> CoreClassification:
-    """Strip pendant vertices until none remain and classify the residue.
+def extract_core(g: Graph) -> tuple[str, tuple[int, ...]]:
+    """Strip pendant vertices from a bicyclic graph until none remain and
+    classify the residue: ``kind`` is "I", "II" or "III" with the shape
+    parameters (p, q, r), (p, q) or (a, b, c).
 
-    The stripped vertices are recorded as rooted trees attached to the
-    core vertices they hang from.
+    ``pendant_free_core`` gives the core mask and the stripped trees.
     """
     _require_bicyclic(g)
-    remaining, attachments = pendant_free_core(g)
-    core, core_vertices = subgraph(g, remaining)
-    kind, params = _classify_core(core)
-    return CoreClassification(core, core_vertices, kind, params, attachments)
+    return _classify_core(subgraph(g, pendant_free_core(g)[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +405,7 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
 def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
     """The classes of ``generate_bicyclic`` in certificate order; a
     repeated certificate is a contract violation."""
-    classes: dict[Certificate, Graph] = {}
+    classes: dict[str, Graph] = {}
     for g in generate_bicyclic(n, cap):
         cert = canonical_certificate(g)
         if cert in classes:

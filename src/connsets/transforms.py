@@ -21,7 +21,7 @@ from .counting import smart_count_pair, smart_count_rooted
 from .enumeration import extract_core, pendant_free_core
 from .errors import ContractViolationError, ParameterError
 from .families import E_NAMES, KINDS, FamilySpec, build
-from .graphs import Graph, bits, is_connected
+from .graphs import Graph, bits, is_connected, pendant_vertices
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,10 @@ def part_to_q(g: Graph, keep_cycle: int, anchor: int) -> TransformOutcome:
     two cycles meeting in at most one vertex); the replaced part needs at
     least five vertices.
     """
-    core = extract_core(g)
-    if core.core.n != g.n:
+    kind, _ = extract_core(g)
+    if pendant_vertices(g):
         raise ContractViolationError("input must be pendant-free")
-    if core.kind not in ("I", "II"):
+    if kind not in ("I", "II"):
         raise ContractViolationError(
             "the surgery applies to cores with two cycles meeting in at "
             "most one vertex"

@@ -93,7 +93,7 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
 
 def _attainer(g: Graph) -> dict[str, str | None]:
     return {
-        "certificate": canonical_certificate(g).text,
+        "certificate": canonical_certificate(g),
         "graph6": to_graph6(g),
         "family": annotate_family(g),
     }
@@ -178,7 +178,7 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
         # Imported here so that numpy stays out of unguarded runs.
         from .crosscheck import labeled_bicyclic_certificates
 
-        own = sorted(canonical_certificate(g).text for g in graphs)
+        own = sorted(canonical_certificate(g) for g in graphs)
         if own != list(labeled_bicyclic_certificates(n)):
             raise ContractViolationError(
                 f"enumerated classes differ from the labelled generator at n={n}"

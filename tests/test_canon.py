@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsets import Graph, canonical_certificate, is_isomorphic
-from connsets.canon import automorphism_group
+from connsets.canon import automorphism_group, canonical_form
 from connsets.families import FamilySpec, build
+from connsets.graphs import from_graph6, to_graph6
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 
@@ -34,13 +35,16 @@ def test_certificates_separate_all_small_classes():
         certs = set()
         for mask in range(1 << len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-            certs.add(canonical_certificate(Graph.from_edges(n, edges)).text)
+            certs.add(canonical_certificate(Graph.from_edges(n, edges)))
         assert len(certs) == expected
 
 
-def test_certificate_carries_counts():
-    cert = canonical_certificate(cycle_graph(5))
-    assert cert.n == 5 and cert.edges == 5
+def test_certificate_is_the_canonical_graph6():
+    g = cycle_graph(5)
+    cert = canonical_certificate(g)
+    assert cert == to_graph6(canonical_form(g))
+    decoded = from_graph6(cert)
+    assert decoded.n == 5 and decoded.edge_count == 5
 
 
 def test_reference_isomorphisms():
@@ -68,7 +72,7 @@ def test_highly_symmetric_graphs_stay_fast():
     perm = tuple(reversed(range(16)))
     assert canonical_certificate(big_star) == canonical_certificate(big_star.relabel(perm))
     k7 = Graph.from_edges(7, list(itertools.combinations(range(7), 2)))
-    assert canonical_certificate(k7).edges == 21
+    assert from_graph6(canonical_certificate(k7)).edge_count == 21
     k44 = Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])
     rng = random.Random(3)
     perm = list(range(8))

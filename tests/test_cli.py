@@ -263,7 +263,7 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
     for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
         monkeypatch.setattr(cli.verify_mod, name, refuse)
-    for bad in ("0", "-5"):
+    for bad in ("0", "-1", "-5"):
         for argv in (
             ("count", "--graph6", "Bw"),
             ("family", "theta:2,3,4", "--count"),
@@ -273,7 +273,7 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
             ("verify", "max", "--n", "9"),
         ):
             code, out, err = run(capsys, *argv, "--cap", bad)
-            assert code == 3 and out == "" and "--cap" in err, (argv, bad)
+            assert code == 3 and out == "" and "--cap must be at least 1" in err, (argv, bad)
 
 
 def test_unwritable_out_rejected_before_any_work(tmp_path, capsys, monkeypatch):
@@ -459,7 +459,7 @@ def test_files_round_trip(tmp_path, capsys):
     assert code == 0 and out == "7\n"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["family", "L:4"]) == 3
     assert main(["count", "--family", "theta:10,10,10"]) == 4
     # Out-of-range surgery sites are contract violations, not tracebacks.
@@ -470,6 +470,11 @@ def test_exit_codes(tmp_path):
     ):
         args = ["transform", surgery, "--family", family, "--cycle", cycle]
         assert main([*args, "--anchor", anchor]) == 3
+    # A negative --cycle id is out of range too; only a non-integer is malformed.
+    args = ("transform", "cycle-to-tadpole", "--family", "cycle:5", "--anchor", "0")
+    code, _, err = run(capsys, *args, "--cycle=-1,0,1,2,3")
+    assert code == 3 and "vertex -1 out of range for n=5" in err
+    assert run(capsys, *args, "--cycle", "0,1,x")[0] == 5
     assert main(["count", "--graph6", "####"]) == 5
     assert main(["count", "--family", "A:4", "--pair", "0"]) == 5
     assert main(["count", "--file", "/nonexistent/path"]) == 5

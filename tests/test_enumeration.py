@@ -38,7 +38,7 @@ from connsets.enumeration import (
     rooted_tree_level_sequences,
 )
 from connsets.families import FamilySpec, build, parse_family_spec
-from connsets.graphs import to_graph6
+from connsets.graphs import subgraph, to_graph6
 
 # Class counts established by the agreement of the two independent
 # generators (n <= 8) and pinned for the larger sweeps.
@@ -62,7 +62,7 @@ def test_enumerate_trees_counts():
 
 def test_enumerate_trees_vs_labeled_bijection():
     for n in range(1, 8):
-        own = tuple(sorted(canonical_certificate(t).text for t in enumerate_trees(n)))
+        own = tuple(sorted(canonical_certificate(t) for t in enumerate_trees(n)))
         assert own == labeled_tree_certificates(n)
 
 
@@ -80,7 +80,7 @@ def test_bicyclic_counts_and_stream_invariants():
             continue
         graphs = enumerate_bicyclic(n)
         assert len(graphs) == expected
-        certs = [canonical_certificate(g).text for g in graphs]
+        certs = [canonical_certificate(g) for g in graphs]
         assert len(set(certs)) == len(certs)
         assert certs == sorted(certs)
         for g in graphs:
@@ -258,7 +258,7 @@ def test_bicyclic_representatives_are_pinned():
 def test_cross_check_generator_agreement():
     for n in range(4, 8):
         own = tuple(
-            canonical_certificate(g).text for g in enumerate_bicyclic(n)
+            canonical_certificate(g) for g in enumerate_bicyclic(n)
         )
         labeled = labeled_bicyclic_classes(n)
         assert own == tuple(text for text, _ in labeled)
@@ -342,8 +342,7 @@ def test_extract_core_family_shapes():
         (FamilySpec("dumbbell", (4, 5, 3)), "I", (4, 5, 3)),
     ]
     for spec, kind, params in cases:
-        core = extract_core(build(spec))
-        assert (core.kind, core.params) == (kind, params), spec
+        assert extract_core(build(spec)) == (kind, params), spec
 
 
 def test_classify_core_on_every_built_shape():
@@ -373,21 +372,33 @@ def relabelled_bicyclic(draw):
 @settings(max_examples=200, deadline=None)
 @given(relabelled_bicyclic())
 def test_core_analysis_ignores_labelling(pair):
-    first, second = (extract_core(g) for g in pair)
-    assert (first.kind, first.params) == (second.kind, second.params)
-    assert sorted(len(e) for e in first.attachments.values()) == sorted(
-        len(e) for e in second.attachments.values()
+    assert extract_core(pair[0]) == extract_core(pair[1])
+    first, second = (pendant_free_core(g)[1] for g in pair)
+    assert sorted(len(e) for e in first.values()) == sorted(
+        len(e) for e in second.values()
     )
-    for g, core in zip(pair, (first, second)):
-        assert core.reassembled_edges(g) == sorted(g.edges())
+    for g in pair:
+        assert reassembled_edges(g) == sorted(g.edges())
+
+
+def reassembled_edges(g):
+    """All edges of ``g``, rebuilt from its core plus the stripped trees."""
+    core_mask, attachments = pendant_free_core(g)
+    core, core_vertices = subgraph(g, core_mask)
+    edges = [
+        tuple(sorted((core_vertices[u], core_vertices[v]))) for u, v in core.edges()
+    ]
+    for tree in attachments.values():
+        edges.extend(tuple(sorted(e)) for e in tree)
+    return sorted(edges)
 
 
 def test_extract_core_attachments():
-    core = extract_core(build(FamilySpec("B", (10,))))
-    sizes = sorted(len(edges) for edges in core.attachments.values())
+    attachments = pendant_free_core(build(FamilySpec("B", (10,))))[1]
+    sizes = sorted(len(edges) for edges in attachments.values())
     assert sizes == [0, 0, 0, 6]
-    core = extract_core(build(FamilySpec("R", (8,))))
-    assert sorted(len(e) for e in core.attachments.values()) == [0, 0, 0, 0, 3]
+    attachments = pendant_free_core(build(FamilySpec("R", (8,))))[1]
+    assert sorted(len(e) for e in attachments.values()) == [0, 0, 0, 0, 3]
 
 
 def test_extract_core_rejects_non_bicyclic():
@@ -400,12 +411,10 @@ def test_extract_core_rejects_non_bicyclic():
 def test_reassembly_is_exact_for_all_small_bicyclic():
     for n in range(4, 9):
         for g in enumerate_bicyclic(n):
-            core = extract_core(g)
-            assert core.reassembled_edges(g) == sorted(g.edges())
-            assert core.core.edge_count == core.core.n + 1
-            assert not any(
-                core.core.degree(v) == 1 for v in range(core.core.n)
-            )
+            core = subgraph(g, pendant_free_core(g)[0])[0]
+            assert reassembled_edges(g) == sorted(g.edges())
+            assert core.edge_count == core.n + 1
+            assert not any(core.degree(v) == 1 for v in range(core.n))
 
 
 def test_core_kind_partition_and_cut_vertices():
@@ -413,11 +422,11 @@ def test_core_kind_partition_and_cut_vertices():
     # two kinds always have at least one.
     for n in range(4, 9):
         for g in enumerate_bicyclic(n):
-            core = extract_core(g)
-            if core.kind == "III":
-                assert cut_vertices(core.core) == 0
+            core = subgraph(g, pendant_free_core(g)[0])[0]
+            if extract_core(g)[0] == "III":
+                assert cut_vertices(core) == 0
             else:
-                assert cut_vertices(core.core) != 0
+                assert cut_vertices(core) != 0
 
 
 def test_cut_vertex_consistency_over_corpora():
