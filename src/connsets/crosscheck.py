@@ -6,14 +6,21 @@ vertices with ``n + 1`` edges (as bitmasks over the edge slots of the
 complete graph), keeps the connected ones, and partitions them into
 isomorphism classes by sweeping vertex-permutation orbits.
 
-Every step is whole-array numpy code.  The edge subsets come from Pascal's
-rule over the edge slots, already in ascending order; connectivity is a
-frontier expansion over one ``uint8`` neighbour mask per vertex, in
-slices of ``_CHUNK`` graphs; an orbit is the OR of per-permutation slot
-bits over the representative's edges, sorted once.  The sweep checks, and
-raises :class:`ContractViolationError` naming ``n`` and the graph6 of the
-representative when one fails, that
+Every step is whole-array numpy code.  A graph is found by the colex rank
+of its k-edge mask (k = n + 1; combinatorial number system, Knuth, TAOCP
+4A 7.2.1.3): with set slots s_0 < ... < s_(k-1) it is sum C(s_i, i + 1),
+its index among the k-subsets in ascending order, read off two tables of
+half the mask's width.  The subsets are built in blocks by top slot: those
+with top slot t are t plus one of the first C(t, k - 1) (k - 1)-subsets,
+which Pascal's rule over the edge slots yields in ascending order, and the
+block starts at rank C(t, k).  Connectivity is a frontier expansion over
+one ``uint8`` neighbour mask per vertex, in slices of ``_CHUNK`` graphs,
+into one flag per rank.  An orbit is the OR of per-permutation slot bits
+over the representative's edges, sorted once and looked up by rank.  The
+sweep checks, and raises :class:`ContractViolationError` naming ``n`` and
+the graph6 of the representative when one fails, that
 
+* the representative's rank is the index it was taken from;
 * the number of distinct images is ``n! / |stabiliser|``, where the
   stabiliser is the set of permutations fixing the representative;
 * every image is in the connected sweep;
@@ -21,7 +28,7 @@ representative when one fails, that
 * the orbit sizes sum to the size of the sweep.
 
 At n = 8 (6.9 million edge subsets, 4.48 million connected) the sweep
-takes about 2.0 s and peaks at about 150 MB resident (2-core VM, Python
+takes about 1.4 s and peaks at about 82 MB resident (2-core VM, Python
 3.11.7, numpy 2.4).
 
 Not exposed through the command line; it exists as a test oracle and as
@@ -75,33 +82,94 @@ def _subset_masks(slots: int, k: int) -> np.ndarray:
     return levels[k]
 
 
-def _connected_edge_masks(n: int, m: int) -> np.ndarray:
-    """Edge masks of all connected labelled graphs on ``n`` vertices with
-    exactly ``m`` edges, as a sorted uint64 array."""
+def _rank_tables(slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-width tables for :func:`_colex_rank` over masks of ``slots`` bits.
+
+    With ``H = ceil(slots / 2)``: ``low[x]`` is the rank contribution of
+    the set bits of ``x < 2**H``, ``pop[x]`` their number, and
+    ``high[y, c]`` the contribution of the bits ``H + t`` for the set bits
+    ``t`` of ``y``, when ``c`` set bits lie below them.  Each table doubles
+    over its bits: the entries with bit b set are those without it, plus
+    the binomial of that bit at its position in the subset.
+    """
+    h = (slots + 1) // 2
+    binom = np.array(
+        [[math.comb(s, j) for j in range(slots + 2)] for s in range(slots)], dtype=np.intp
+    )
+    low = np.zeros(1, dtype=np.intp)
+    pop = np.zeros(1, dtype=np.intp)
+    for b in range(h):
+        low = np.concatenate((low, low + binom[b, pop + 1]))
+        pop = np.concatenate((pop, pop + 1))
+    below = np.arange(h + 1)
+    high = np.zeros((1, h + 1), dtype=np.intp)
+    high_pop = np.zeros(1, dtype=np.intp)
+    for b in range(slots - h):
+        high = np.concatenate((high, high + binom[h + b, below + high_pop[:, None] + 1]))
+        high_pop = np.concatenate((high_pop, high_pop + 1))
+    return low, pop, high
+
+
+def _colex_rank(
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray], masks: np.ndarray
+) -> np.ndarray:
+    """Index of each k-subset mask in ``_subset_masks(slots, k)``.
+
+    A mask with set slots s_0 < ... < s_(k-1) has rank sum C(s_i, i + 1)
+    in the combinatorial number system, which is its position in
+    ascending (colex) order; ``tables`` is ``_rank_tables(slots)``.
+    """
+    low, pop, high = tables
+    h = len(low).bit_length() - 1
+    bottom = masks & np.uint64((1 << h) - 1)
+    return low[bottom] + high[masks >> np.uint64(h), pop[bottom]]
+
+
+def _connected(n: int, masks: np.ndarray) -> np.ndarray:
+    """Whether each edge mask is a connected labelled graph on ``n`` vertices."""
     slots = _edge_slots(n)
-    masks = _subset_masks(len(slots), m)
-    keep = np.zeros(len(masks), dtype=bool)
     # n <= MAX_CROSSCHECK_N = 8, so a vertex set fits in one byte.
     full = np.uint8((1 << n) - 1)
-    for start in range(0, len(masks), _CHUNK):
-        chunk = masks[start : start + _CHUNK]
-        # Row b holds edge slots 8b..8b+7 of every graph in the chunk.
-        as_bytes = chunk.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        edge_bytes = as_bytes[:, : (len(slots) + 7) // 8].T.copy()
-        adj = np.zeros((n, len(chunk)), dtype=np.uint8)
-        for e, (u, v) in enumerate(slots):
-            present = (edge_bytes[e >> 3] >> np.uint8(e & 7)) & np.uint8(1)
-            adj[u] |= present << np.uint8(v)
-            adj[v] |= present << np.uint8(u)
-        # Frontier expansion from vertex 0, n - 1 rounds.
-        reach = np.ones(len(chunk), dtype=np.uint8)
-        for _ in range(n - 1):
-            grow = reach.copy()
-            for v in range(n):
-                grow |= adj[v] * ((reach >> np.uint8(v)) & np.uint8(1))
-            reach = grow
-        keep[start : start + len(chunk)] = reach == full
-    return masks[keep]
+    # Row b holds edge slots 8b..8b+7 of every graph.
+    as_bytes = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    edge_bytes = as_bytes[:, : (len(slots) + 7) // 8].T.copy()
+    adj = np.zeros((n, len(masks)), dtype=np.uint8)
+    for e, (u, v) in enumerate(slots):
+        present = (edge_bytes[e >> 3] >> np.uint8(e & 7)) & np.uint8(1)
+        adj[u] |= present << np.uint8(v)
+        adj[v] |= present << np.uint8(u)
+    # Frontier expansion from vertex 0, n - 1 rounds.
+    reach = np.ones(len(masks), dtype=np.uint8)
+    for _ in range(n - 1):
+        grow = reach.copy()
+        for v in range(n):
+            grow |= adj[v] * ((reach >> np.uint8(v)) & np.uint8(1))
+        reach = grow
+    return reach == full
+
+
+def _connected_sweep(n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Which labelled graphs on ``n`` vertices with ``k = n + 1`` edges are
+    connected, indexed by the colex rank of their edge masks.
+
+    Returns ``(base, starts, keep)``.  The k-subsets of the edge slots with
+    top slot t are t plus a (k - 1)-subset of ``range(t)``: the first
+    C(t, k - 1) entries of ``base = _subset_masks(slots - 1, k - 1)``, at
+    ranks from ``starts[t] = C(t, k)`` on.  ``keep[r]`` says whether the
+    subset of rank r is connected; it is filled block by block, in slices
+    of ``_CHUNK`` graphs, so no array of all C(slots, k) masks is built.
+    """
+    slots, k = len(_edge_slots(n)), n + 1
+    base = _subset_masks(slots - 1, k - 1)
+    starts = [math.comb(t, k) for t in range(slots)]
+    keep = np.empty(math.comb(slots, k), dtype=bool)
+    for t in range(k - 1, slots):
+        bit = np.uint64(1 << t)
+        size = math.comb(t, k - 1)
+        for lo in range(0, size, _CHUNK):
+            chunk = base[lo : min(lo + _CHUNK, size)] | bit
+            keep[starts[t] + lo : starts[t] + lo + len(chunk)] = _connected(n, chunk)
+    return base, starts, keep
 
 
 def _permutation_edge_maps(n: int) -> np.ndarray:
@@ -120,14 +188,14 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph.from_edges(n, [slots[e] for e in range(len(slots)) if mask >> e & 1])
 
 
-def _next_unseen(seen: np.ndarray, start: int) -> int:
-    """Index of the first False in ``seen`` at or after ``start``, or its length."""
-    while start < len(seen):
-        hits = np.flatnonzero(~seen[start : start + _WINDOW])
+def _next_untaken(taken: np.ndarray, start: int) -> int:
+    """Index of the first False in ``taken`` at or after ``start``, or its length."""
+    while start < len(taken):
+        hits = np.flatnonzero(~taken[start : start + _WINDOW])
         if len(hits):
             return start + int(hits[0])
         start += _WINDOW
-    return len(seen)
+    return len(taken)
 
 
 def _sweep_error(n: int, rep: int, what: str) -> ContractViolationError:
@@ -147,18 +215,23 @@ def labeled_bicyclic_classes(n: int) -> tuple[tuple[str, int], ...]:
         raise ResourceCapError(
             f"labelled cross-check supports 4 <= n <= {MAX_CROSSCHECK_N}, got {n}"
         )
-    masks = _connected_edge_masks(n, n + 1)
+    slots = len(_edge_slots(n))
+    base, starts, keep = _connected_sweep(n)
+    tables = _rank_tables(slots)
     # Row e: the bit that each permutation sends slot e to.
     slot_bits = np.uint64(1) << _permutation_edge_maps(n).T.astype(np.uint64)
     group = math.factorial(n)
-    last = len(masks) - 1
-    seen = np.zeros(len(masks), dtype=bool)
+    taken = ~keep
     classes: list[tuple[str, int]] = []
     total = 0
-    cursor = _next_unseen(seen, 0)
-    while cursor < len(masks):
-        rep = int(masks[cursor])
-        edges = [e for e in range(slot_bits.shape[0]) if rep >> e & 1]
+    cursor = _next_untaken(taken, 0)
+    while cursor < len(taken):
+        t = bisect.bisect_right(starts, cursor) - 1
+        rep = int(base[cursor - starts[t]]) | 1 << t
+        rank = int(_colex_rank(tables, np.array([rep], dtype=np.uint64))[0])
+        if rank != cursor:
+            raise _sweep_error(n, rep, f"the representative at index {cursor} has rank {rank}")
+        edges = [e for e in range(slots) if rep >> e & 1]
         images = np.bitwise_or.reduce(slot_bits[edges], axis=0)
         images.sort()
         stabiliser = int(np.count_nonzero(images == np.uint64(rep)))
@@ -170,19 +243,20 @@ def labeled_bicyclic_classes(n: int) -> tuple[tuple[str, int], ...]:
                 rep,
                 f"{distinct} distinct images, but n!/|stabiliser| = {group}/{stabiliser}",
             )
-        pos = np.minimum(np.searchsorted(masks, orbit), last)
-        if not np.array_equal(masks[pos], orbit):
+        ranks = _colex_rank(tables, orbit)
+        if not keep[ranks].all():
             raise _sweep_error(n, rep, "an orbit member is missing from the connected sweep")
-        if seen[pos].any():
+        if taken[ranks].any():
             raise _sweep_error(n, rep, "the orbit overlaps a previously swept class")
-        seen[pos] = True
+        taken[ranks] = True
         total += distinct
         classes.append((canonical_certificate(_graph_from_mask(n, rep)), distinct))
-        cursor = _next_unseen(seen, cursor + 1)
-    if total != len(masks):
+        cursor = _next_untaken(taken, cursor + 1)
+    connected = int(np.count_nonzero(keep))
+    if total != connected:
         raise ContractViolationError(
             f"labelled sweep at n={n}: orbit sizes sum to {total}, "
-            f"the connected sweep holds {len(masks)} graphs"
+            f"the connected sweep holds {connected} graphs"
         )
     return tuple(sorted(classes))
 

@@ -14,7 +14,6 @@ from connsets import (
     Graph,
     ResourceCapError,
     combine_identified,
-    components,
     delete_vertices,
     extend_pendant,
     oracle_count,

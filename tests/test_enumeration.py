@@ -290,6 +290,34 @@ def test_subset_masks_match_combinations():
         assert crosscheck._subset_masks(slots, k).tolist() == expected, (slots, k)
 
 
+def test_colex_rank_is_the_index_in_subset_masks():
+    import math
+
+    # (21, 8) is every edge set of a 7-vertex bicyclic graph.
+    for slots, k in ((0, 0), (5, 0), (5, 2), (6, 6), (10, 4), (15, 6), (21, 8)):
+        masks = crosscheck._subset_masks(slots, k)
+        ranks = crosscheck._colex_rank(crosscheck._rank_tables(slots), masks)
+        assert np.array_equal(ranks, np.arange(math.comb(slots, k))), (slots, k)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_connected_sweep_by_top_slot_matches_the_whole_subset_list(monkeypatch, chunk):
+    import math
+
+    if chunk is not None:
+        # Slices that split every block exercise the offsets within a block.
+        monkeypatch.setattr(crosscheck, "_CHUNK", chunk)
+    for n in (4, 5, 6):
+        slots = len(crosscheck._edge_slots(n))
+        masks = crosscheck._subset_masks(slots, n + 1)
+        base, starts, keep = crosscheck._connected_sweep(n)
+        assert np.array_equal(keep, crosscheck._connected(n, masks)), n
+        # Block t: the masks with top slot t, ranks C(t, n + 1) to C(t + 1, n + 1).
+        for t in range(n, slots):
+            block = masks[starts[t] : math.comb(t + 1, n + 1)]
+            assert np.array_equal(block, base[: len(block)] | np.uint64(1 << t)), (n, t)
+
+
 def test_connected_edge_masks_match_a_loop_reference():
     import itertools
 
@@ -301,20 +329,35 @@ def test_connected_edge_masks_match_a_loop_reference():
                 for combo in itertools.combinations(range(len(slots)), m)
                 if is_connected(Graph.from_edges(n, [slots[e] for e in combo]))
             )
-            assert crosscheck._connected_edge_masks(n, m).tolist() == expected, (n, m)
+            masks = crosscheck._subset_masks(len(slots), m)
+            assert masks[crosscheck._connected(n, masks)].tolist() == expected, (n, m)
 
 
 def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
-    real = crosscheck._connected_edge_masks
+    real = crosscheck._connected
+    cleared = []
 
-    def one_short(n, m):
-        masks = real(n, m)
-        return np.delete(masks, len(masks) // 2)
+    def one_short(n, masks):
+        keep = real(n, masks)
+        if not cleared:
+            hits = np.flatnonzero(keep)
+            cleared.append(int(hits[len(hits) // 2]))
+            keep[cleared[0]] = False
+        return keep
 
-    monkeypatch.setattr(crosscheck, "_connected_edge_masks", one_short)
+    monkeypatch.setattr(crosscheck, "_connected", one_short)
     # Bypass the cache so the truncated sweep really runs.
     with pytest.raises(ContractViolationError, match="n=6: an orbit member is missing"):
         labeled_bicyclic_classes.__wrapped__(6)
+    assert cleared
+
+
+def test_labeled_sweep_checks_the_rank_of_each_representative(monkeypatch):
+    real = crosscheck._colex_rank
+    monkeypatch.setattr(crosscheck, "_colex_rank", lambda tables, masks: real(tables, masks) + 1)
+    message = "n=5: the representative at index 0 has rank 1"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes.__wrapped__(5)
 
 
 def test_labeled_sweep_checks_orbit_size_against_the_stabiliser(monkeypatch):

@@ -25,7 +25,7 @@ from connsets import (
 from connsets.families import FamilySpec, build
 from connsets.graphs import MAX_VERTICES, blocks
 
-from conftest import cycle_graph, path_graph, random_graph, star_graph
+from conftest import cycle_graph, path_graph, random_graph
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
