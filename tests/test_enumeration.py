@@ -280,6 +280,22 @@ def test_labeled_orbit_sizes_sum_to_the_connected_sweep():
         assert sum(size for _, size in labeled_bicyclic_classes(n)) == total
 
 
+def test_labeled_classes_are_pinned():
+    # Certificates and orbit sizes of every class the labelled sweep finds.
+    import hashlib
+
+    text = repr([labeled_bicyclic_classes(n) for n in range(4, 9)])
+    digest = "cfd12013089794498dab3da2001f5a18a48aac58c750eb2b51b68b0dc6ecf2ae"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def subset_masks(slots, k):
+    """The masks of ``crosscheck._subset_masks`` over the first ``slots``
+    edge slots of K7 (21 slots), without their partition ids."""
+    join, start, _ = crosscheck._partition_table(7)
+    return crosscheck._subset_masks(join, start, slots, k)[0]
+
+
 def test_subset_masks_match_combinations():
     import itertools
 
@@ -287,7 +303,7 @@ def test_subset_masks_match_combinations():
         expected = sorted(
             sum(1 << e for e in combo) for combo in itertools.combinations(range(slots), k)
         )
-        assert crosscheck._subset_masks(slots, k).tolist() == expected, (slots, k)
+        assert subset_masks(slots, k).tolist() == expected, (slots, k)
 
 
 def test_colex_rank_is_the_index_in_subset_masks():
@@ -295,27 +311,87 @@ def test_colex_rank_is_the_index_in_subset_masks():
 
     # (21, 8) is every edge set of a 7-vertex bicyclic graph.
     for slots, k in ((0, 0), (5, 0), (5, 2), (6, 6), (10, 4), (15, 6), (21, 8)):
-        masks = crosscheck._subset_masks(slots, k)
+        masks = subset_masks(slots, k)
         ranks = crosscheck._colex_rank(crosscheck._rank_tables(slots), masks)
         assert np.array_equal(ranks, np.arange(math.comb(slots, k))), (slots, k)
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_connected_sweep_by_top_slot_matches_the_whole_subset_list(monkeypatch, chunk):
+def test_edge_masks_fit_in_32_bits():
+    # Every mask in the sweep is a uint32.
+    assert len(crosscheck._edge_slots(crosscheck.MAX_CROSSCHECK_N)) <= 32
+
+
+def test_partition_table_joins_the_blocks_of_each_slot():
+    bell = {4: 15, 5: 52, 6: 203}
+    for n, count in bell.items():
+        slots = crosscheck._edge_slots(n)
+        join, start, whole = crosscheck._partition_table(n)
+        assert join.shape == (count, len(slots)), n
+
+        def union(blocks, u, v):
+            joined = {b for b in blocks if u in b or v in b}
+            return blocks - joined | {frozenset().union(*joined)}
+
+        # Name each id by the partition it is first reached as from the
+        # singletons, then check every (partition, slot) pair against it.
+        named = {start: frozenset(frozenset([x]) for x in range(n))}
+        queue = [start]
+        while queue:
+            p = queue.pop()
+            for e, (u, v) in enumerate(slots):
+                q = int(join[p, e])
+                if q not in named:
+                    named[q] = union(named[p], u, v)
+                    queue.append(q)
+        assert len(set(named.values())) == len(named) == count, n
+        for p, blocks in named.items():
+            for e, (u, v) in enumerate(slots):
+                assert named[int(join[p, e])] == union(blocks, u, v), (n, p, e)
+        assert named[whole] == frozenset([frozenset(range(n))]), n
+
+
+def test_partition_table_reaches_and_keeps_the_single_block():
+    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
+        join, start, whole = crosscheck._partition_table(n)
+        slots = crosscheck._edge_slots(n)
+        # The path 0-1-...-(n-1) joins all n vertices only with its last edge.
+        p = start
+        for v in range(n - 1):
+            assert p != whole, (n, v)
+            p = join[p, slots.index((v, v + 1))]
+        assert p == whole, n
+        assert (join[whole] == whole).all(), n
+
+
+@pytest.mark.parametrize("large_n", [None, 7])
+def test_connected_sweep_by_top_slot_matches_the_whole_subset_list(large_n):
+    import itertools
     import math
 
-    if chunk is not None:
-        # Slices that split every block exercise the offsets within a block.
-        monkeypatch.setattr(crosscheck, "_CHUNK", chunk)
-    for n in (4, 5, 6):
-        slots = len(crosscheck._edge_slots(n))
-        masks = crosscheck._subset_masks(slots, n + 1)
+    # None: n = 4..6, checked against an is_connected loop.  7: the
+    # C(21, 8) subsets are too many for the loop, so the reference is the
+    # partition id that the whole subset list carries for each mask.
+    for n in (4, 5, 6) if large_n is None else (large_n,):
+        slots = crosscheck._edge_slots(n)
+        if large_n is None:
+            expected = [
+                is_connected(Graph.from_edges(n, [slots[e] for e in combo]))
+                for combo in sorted(
+                    itertools.combinations(range(len(slots)), n + 1),
+                    key=lambda combo: sum(1 << e for e in combo),
+                )
+            ]
+            masks = subset_masks(len(slots), n + 1)
+        else:
+            join, start, whole = crosscheck._partition_table(n)
+            masks, ids = crosscheck._subset_masks(join, start, len(slots), n + 1)
+            expected = (ids == whole).tolist()
         base, starts, keep = crosscheck._connected_sweep(n)
-        assert np.array_equal(keep, crosscheck._connected(n, masks)), n
+        assert keep.tolist() == expected, n
         # Block t: the masks with top slot t, ranks C(t, n + 1) to C(t + 1, n + 1).
-        for t in range(n, slots):
+        for t in range(n, len(slots)):
             block = masks[starts[t] : math.comb(t + 1, n + 1)]
-            assert np.array_equal(block, base[: len(block)] | np.uint64(1 << t)), (n, t)
+            assert np.array_equal(block, base[: len(block)] | np.uint32(1 << t)), (n, t)
 
 
 def test_connected_edge_masks_match_a_loop_reference():
@@ -323,33 +399,53 @@ def test_connected_edge_masks_match_a_loop_reference():
 
     for n in (4, 5):
         slots = crosscheck._edge_slots(n)
+        join, start, whole = crosscheck._partition_table(n)
         for m in range(len(slots) + 1):
             expected = sorted(
                 sum(1 << e for e in combo)
                 for combo in itertools.combinations(range(len(slots)), m)
                 if is_connected(Graph.from_edges(n, [slots[e] for e in combo]))
             )
-            masks = crosscheck._subset_masks(len(slots), m)
-            assert masks[crosscheck._connected(n, masks)].tolist() == expected, (n, m)
+            masks, ids = crosscheck._subset_masks(join, start, len(slots), m)
+            assert masks[ids == whole].tolist() == expected, (n, m)
 
 
 def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
-    real = crosscheck._connected
+    real = crosscheck._connected_sweep
     cleared = []
 
-    def one_short(n, masks):
-        keep = real(n, masks)
-        if not cleared:
-            hits = np.flatnonzero(keep)
-            cleared.append(int(hits[len(hits) // 2]))
-            keep[cleared[0]] = False
-        return keep
+    def one_short(n):
+        base, starts, keep = real(n)
+        hits = np.flatnonzero(keep)
+        cleared.append(int(hits[len(hits) // 2]))
+        keep[cleared[0]] = False
+        return base, starts, keep
 
-    monkeypatch.setattr(crosscheck, "_connected", one_short)
+    monkeypatch.setattr(crosscheck, "_connected_sweep", one_short)
     # Bypass the cache so the truncated sweep really runs.
     with pytest.raises(ContractViolationError, match="n=6: an orbit member is missing"):
         labeled_bicyclic_classes.__wrapped__(6)
     assert cleared
+
+
+def test_labeled_sweep_overlapping_orbits_are_a_contract_violation(monkeypatch):
+    real = crosscheck._colex_rank
+    first = []
+
+    def overlapping(tables, masks):
+        ranks = real(tables, masks)
+        # Orbits have more than one member; representatives are ranked alone.
+        if len(masks) > 1:
+            if first:
+                ranks[-1] = first[0]
+            else:
+                first.append(int(ranks[0]))
+        return ranks
+
+    monkeypatch.setattr(crosscheck, "_colex_rank", overlapping)
+    message = "n=5: the orbit overlaps a previously swept class"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes.__wrapped__(5)
 
 
 def test_labeled_sweep_checks_the_rank_of_each_representative(monkeypatch):
