@@ -4,9 +4,11 @@ One include/exclude search serves both counters.  It grows each connected
 set from its lowest vertex, so its cost is proportional to the number of
 sets it counts, and sums a product of vertex weights over them.  The
 oracle, the ground truth of the whole package, runs it with every weight
-1.  The block pass behind the ``smart_count*`` functions runs it, weighted,
-on the blocks of G that are neither a bridge nor a cycle, and is validated
-against the oracle, as are the closed forms and the identification algebra.
+1.  The block pass (``weighted_total``, behind the ``smart_count*``
+functions and the keyed count of :mod:`connsets.enumeration`) runs it,
+weighted, on the blocks of G that are neither a bridge nor a cycle, and is
+validated against the oracle, as are the closed forms and the
+identification algebra.
 
 Counts of disconnected graphs are defined as the sum over components, the
 convention that makes the vertex-deletion identities total.
@@ -178,24 +180,35 @@ def _block_sums(
     return avoid, w[head] * through
 
 
-def _smart_total(g: Graph, cap: int | None, gone: int = 0) -> int:
-    """N(G - gone): a sum over the blocks of G, leaves first, where the
-    vertices of ``gone`` weigh 0 and all others 1.  Each block's sum
-    through its head, which carries ``w[head]``, becomes ``w[head]``: the
-    weighted number of connected sets through the head inside the blocks
-    it heads and those below them.  A set through a DFS root is counted
-    by the root's weight; any other set meets one highest block without
-    its head and is counted there."""
-    w = [1] * g.n
-    for v in bits(gone):
-        w[v] = 0
+def weighted_total(
+    g: Graph, block_list: list[tuple[int, int]], w: list[int], cap: int | None
+) -> int:
+    """Sum over the connected sets of G of the product of ``w`` over their
+    vertices, from ``block_list``, which is ``blocks(g)``; ``w`` is
+    overwritten.
+
+    A sum over the blocks, leaves first.  Each block's sum through its
+    head, which carries ``w[head]``, becomes ``w[head]``: the weighted
+    number of connected sets through the head inside the blocks it heads
+    and those below them.  A set through a DFS root is counted by the
+    root's weight; any other set meets one highest block without its head
+    and is counted there."""
     total = below = 0
-    for block, head in blocks(g):
+    for block, head in block_list:
         avoid, through = _block_sums(g, block, head, w, cap)
         total += avoid
         w[head] = through
         below |= block & ~(1 << head)
     return total + sum(w[r] for r in range(g.n) if not below >> r & 1)
+
+
+def _smart_total(g: Graph, cap: int | None, gone: int = 0) -> int:
+    """N(G - gone): the weighted total of G where the vertices of ``gone``
+    weigh 0 and all others 1."""
+    w = [1] * g.n
+    for v in bits(gone):
+        w[v] = 0
+    return weighted_total(g, blocks(g), w, cap)
 
 
 def smart_count(g: Graph, cap: int | None = None) -> CountResult:

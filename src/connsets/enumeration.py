@@ -10,11 +10,15 @@ one forest per orbit of the core's automorphism group, which the
 canonical-labelling search lists (:func:`connsets.canon.automorphism_group`),
 so each class is generated exactly once.
 
-Two routes read this generation.  ``generate_bicyclic`` streams the
-classes in generation order and builds no certificate.
-``enumerate_bicyclic`` canonicalises every class, sorts by certificate
+The generation yields attachment keys ``(core, sizes, shapes)``, and
+three routes read it.  ``generate_counted_keys`` streams the keys in
+generation order with each class's count, read off the key: the block
+pass on the core, each core vertex weighted by its tree's rooted count.
+``generate_bicyclic`` builds each key's graph (:func:`graph_from_key`)
+and streams those, in the same order, with no certificate built.
+``enumerate_bicyclic`` canonicalises every graph, sorts by certificate
 and treats a repeated certificate as a contract violation, a check
-independent of the guards below.  Both routes pass every core through
+independent of the guards below.  All routes pass every core through
 two guards that use no certificate.  The group guard: the automorphisms
 the search lists for the core are distinct, map the core onto itself,
 and number the closed-form order of its shape's group.  The Burnside
@@ -29,14 +33,17 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .canon import automorphism_group, canonical_certificate
+from .counting import smart_count, smart_count_rooted, weighted_total
 from .errors import ContractViolationError, ResourceCapError
 from .families import FamilySpec, build
 from .graphs import (
     Graph,
     bits,
+    blocks,
     components,
     cut_vertices,
     is_connected,
@@ -201,6 +208,9 @@ def extract_core(g: Graph) -> tuple[str, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Bicyclic generation
 
+# An attachment key (core, sizes, shapes); see ``_with_attachments``.
+Key = tuple[Graph, tuple[int, ...], tuple[int, ...]]
+
 
 def _core_graphs(n: int) -> Iterator[Graph]:
     """Every pendant-free bicyclic shape on at most ``n`` vertices."""
@@ -239,25 +249,25 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _with_attachments(
     core: Graph, extra: int, automorphisms: tuple[tuple[int, ...], ...]
-) -> Iterator[Graph]:
-    """Attach ``extra`` vertices as rooted trees, one distribution per
-    orbit of ``automorphisms``, the core's whole automorphism group as
-    ``automorphism_group`` lists it.
+) -> Iterator[Key]:
+    """The keys attaching ``extra`` vertices to ``core`` as rooted trees,
+    one per orbit of ``automorphisms``, the core's whole automorphism
+    group as ``automorphism_group`` lists it.
 
-    A distribution is keyed by ``(sizes, shapes)``: the tree size at each
-    core vertex and the index of its shape in ``_rooted_trees``, where
-    level sequences name each rooted tree exactly once.  Two keys give
-    isomorphic graphs exactly when an automorphism of the core carries
-    one onto the other, since every isomorphism maps the pendant-free
-    core onto itself.  ``_compositions`` and ``itertools.product`` both
-    run in increasing lexicographic order, so keys are generated in
-    increasing order and the least key of an orbit is the first one
-    generated; only that one is kept.  A composition is skipped whole
-    when an automorphism makes ``sizes`` smaller; otherwise the shapes
-    are compared only under the automorphisms that fix ``sizes``.
+    A key is ``(core, sizes, shapes)``: the tree size at each core vertex
+    and the index of its shape in ``_rooted_trees``, where level sequences
+    name each rooted tree exactly once; :func:`graph_from_key` builds its
+    graph.  Two keys give isomorphic graphs exactly when an automorphism
+    of the core carries one onto the other, since every isomorphism maps
+    the pendant-free core onto itself.  ``_compositions`` and
+    ``itertools.product`` both run in increasing lexicographic order, so
+    keys are generated in increasing order and the least key of an orbit
+    is the first one generated; only that one is kept.  A composition is
+    skipped whole when an automorphism makes ``sizes`` smaller; otherwise
+    the shapes are compared only under the automorphisms that fix
+    ``sizes``.
     """
     m = core.n
-    core_edges = core.edges()
     identity = tuple(range(m))
     others = [sigma for sigma in automorphisms if sigma != identity]
     for sizes in _compositions(extra, m):
@@ -265,20 +275,25 @@ def _with_attachments(
         if any(img < sizes for img in images):
             continue
         fixing = [sigma for sigma, img in zip(others, images) if img == sizes]
-        offsets = []
-        nxt = m
-        for s in sizes:
-            offsets.append(nxt)
-            nxt += s
-        choices = [_rooted_trees(s + 1) for s in sizes]
-        for shapes in itertools.product(*(range(len(c)) for c in choices)):
+        choices = [range(len(_rooted_trees(s + 1))) for s in sizes]
+        for shapes in itertools.product(*choices):
             if any(tuple(shapes[i] for i in sigma) < shapes for sigma in fixing):
                 continue
-            edges = list(core_edges)
-            for idx, shape in enumerate(shapes):
-                ids = [idx] + list(range(offsets[idx], offsets[idx] + sizes[idx]))
-                edges.extend((ids[u], ids[v]) for u, v in choices[idx][shape])
-            yield Graph.from_edges(m + extra, edges)
+            yield core, sizes, shapes
+
+
+def graph_from_key(key: Key) -> Graph:
+    """The graph of an attachment key: the core on vertices ``0..m-1``,
+    then each core vertex's tree, in core-vertex order, on the next
+    ``sizes[c]`` ids."""
+    core, sizes, shapes = key
+    edges = core.edges()
+    nxt = core.n
+    for c, (size, shape) in enumerate(zip(sizes, shapes)):
+        ids = [c, *range(nxt, nxt + size)]
+        edges.extend((ids[u], ids[v]) for u, v in _rooted_trees(size + 1)[shape])
+        nxt += size
+    return Graph.from_edges(nxt, edges)
 
 
 def _rooted_tree_counts(size: int) -> list[int]:
@@ -359,8 +374,8 @@ def _check_group(n: int, core: Graph, automorphisms: tuple[tuple[int, ...], ...]
         )
 
 
-def _guarded_stream(n: int) -> Iterator[Graph]:
-    """Each core's kept graphs, yielded once its two guards pass.
+def _guarded_stream(n: int) -> Iterator[Key]:
+    """Each core's kept keys, yielded once its two guards pass.
 
     The group guard checks the canonical search's group against the
     closed-form order.  Every orbit keeps at least its least key, so the
@@ -381,14 +396,9 @@ def _guarded_stream(n: int) -> Iterator[Graph]:
         yield from kept
 
 
-def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
-    """One representative per isomorphism class of n-vertex bicyclic
-    graphs, in generation order, with no certificate built.
-
-    The order is checked at the call; each core's representatives are
-    yielded only after its group and Burnside guards pass.  ``cap``
-    (default ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
-    """
+def _check_order(n: int, cap: int | None) -> None:
+    """A bicyclic graph has at least four vertices, and ``n`` must fit
+    under ``cap`` (default ``DEFAULT_BICYCLIC_CAP``)."""
     if n < 4:
         raise ContractViolationError(
             f"bicyclic graphs have at least four vertices, got n={n}"
@@ -399,7 +409,64 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
             f"bicyclic enumeration capped at n <= {cap}, got {n}; "
             "raise the cap explicitly to proceed"
         )
-    return _guarded_stream(n)
+
+
+def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
+    """One representative per isomorphism class of n-vertex bicyclic
+    graphs, in generation order, with no certificate built.
+
+    The order is checked at the call; each core's representatives are
+    yielded only after its group and Burnside guards pass.  ``cap``
+    (default ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
+    """
+    _check_order(n, cap)
+    return map(graph_from_key, _guarded_stream(n))
+
+
+@lru_cache(maxsize=None)
+def _tree_counts(size: int) -> tuple[tuple[int, int], ...]:
+    """(N(T), rooted count at the root) of each rooted tree in
+    ``_rooted_trees(size)``, by the block pass."""
+    out = []
+    for edges in _rooted_trees(size):
+        t = Graph.from_edges(size, edges)
+        out.append((smart_count(t).total, smart_count_rooted(t, 0).value))
+    return tuple(out)
+
+
+def _key_count(key: Key, core_blocks: list[tuple[int, int]]) -> int:
+    """N(G) for the graph of ``key``, built from the core alone.
+
+    A connected set of G either meets the core, in a connected core set S
+    with a rooted subtree of T_c at each c in S, or lies in one T_c
+    without c.  So N(G) is the core's weighted total with w_c = r_c, plus
+    the sum of N(T_c) - r_c (Szekely and Wang, *On subtrees of trees*,
+    2005, count subtrees by the same product over children).
+    """
+    core, sizes, shapes = key
+    pairs = [_tree_counts(size + 1)[shape] for size, shape in zip(sizes, shapes)]
+    weights = [rooted for _, rooted in pairs]
+    hanging = sum(total - rooted for total, rooted in pairs)
+    return weighted_total(core, core_blocks, weights, None) + hanging
+
+
+def generate_counted_keys(n: int, cap: int | None = None) -> Iterator[tuple[Key, int]]:
+    """The classes of ``generate_bicyclic`` as ``(key, count)``, in the
+    same order, with no class's graph built: :func:`graph_from_key` gives
+    the graph, and ``count`` is its number of connected sets.
+
+    The keys come from the same guarded stream, and the order is checked
+    at the call.  ``blocks`` runs once per core.
+    """
+    _check_order(n, cap)
+    return _counted(n)
+
+
+def _counted(n: int) -> Iterator[tuple[Key, int]]:
+    for core, keys in itertools.groupby(_guarded_stream(n), key=itemgetter(0)):
+        core_blocks = blocks(core)
+        for key in keys:
+            yield key, _key_count(key, core_blocks)
 
 
 def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:

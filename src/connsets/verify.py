@@ -2,8 +2,11 @@
 
 Each sweep enumerates every relevant graph, evaluates exact counts, and
 compares against the closed forms.  The minimum and maximum sweeps count
-with the block pass (``smart_count``) and have the oracle recount the
-classes their verdicts read.  All pass/fail decisions are integer-exact;
+with the block pass and have the oracle recount the classes their
+verdicts read: up to ``LABELLED_GUARD_N`` every class, each a graph
+counted by ``smart_count``; above it, each class is counted from its
+attachment key (``generate_counted_keys``), and a graph is built only
+for the classes a verdict reads.  All pass/fail decisions are integer-exact;
 nothing passes on approximate equality.  Reports are plain data,
 deterministic for a given (claim, n, seed), and serialise to JSON and a
 one-line CSV summary.
@@ -16,6 +19,7 @@ import io
 import json
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .canon import canonical_certificate
 from .counting import (
@@ -26,7 +30,13 @@ from .counting import (
     smart_count,
     tree_rooted_count,
 )
-from .enumeration import enumerate_bicyclic, enumerate_trees, generate_bicyclic
+from .enumeration import (
+    enumerate_bicyclic,
+    enumerate_trees,
+    generate_bicyclic,
+    generate_counted_keys,
+    graph_from_key,
+)
 from .errors import ContractViolationError
 from .families import KINDS, FamilySpec, build, closed_form, e_graph_reference
 from .graphs import Graph, to_graph6
@@ -123,33 +133,22 @@ def _total(g: Graph) -> int:
     return oracle_count(g).total
 
 
-def _checked_counts(n: int, graphs: list[Graph]) -> list[int]:
-    """Block-pass counts of a corpus, cross-checked by the oracle.
-
-    Up to ``LABELLED_GUARD_N``, where the labelled guard runs, the oracle
-    recounts every class.  Above that it recounts the classes at the
-    least count and at the two largest, the only ones a verdict of the
-    minimum or maximum sweep reads.  A disagreement is a contract
-    violation naming the class.
-    """
-    counts = [smart_count(g).total for g in graphs]
-    read = set(counts)
-    if n > LABELLED_GUARD_N:
-        read = {min(read), *sorted(read)[-2:]}
-    picked = [i for i, c in enumerate(counts) if c in read]
-    for i, truth in zip(picked, count_stream([graphs[i] for i in picked])):
-        if counts[i] != truth:
-            raise ContractViolationError(
-                f"block pass counts {counts[i]} and oracle {truth} "
-                f"on {to_graph6(graphs[i])} at n={n}"
-            )
-    return counts
-
-
 # Unlabelled connected bicyclic graphs per order (OEIS A001429).
 _BICYCLIC_CLASSES = {
     4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908,
 }
+
+
+def _check_class_count(n: int, classes: int) -> None:
+    """The corpus must be nonempty and match OEIS A001429 at every
+    tabulated order."""
+    if not classes:
+        raise ContractViolationError(f"enumeration produced no graphs at n={n}")
+    if n in _BICYCLIC_CLASSES and classes != _BICYCLIC_CLASSES[n]:
+        raise ContractViolationError(
+            f"enumeration produced {classes} classes at n={n}, "
+            f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
+        )
 
 
 def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
@@ -158,22 +157,17 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     At every order the generator checks each core: its listed
     automorphisms must form the whole group (order from the closed form
     of the shape), and the forests it keeps must number the orbits that
-    Burnside's lemma counts.  Here the corpus must also be nonempty and
-    match OEIS A001429 at every tabulated order.  Up to
-    ``LABELLED_GUARD_N`` the classes come in certificate order and their
-    certificates must be exactly those of the independent labelled
-    generator; above that they come in generation order and no
-    certificate is built.
+    Burnside's lemma counts.  Here the corpus must also pass
+    :func:`_check_class_count`.  Up to ``LABELLED_GUARD_N`` the classes
+    come in certificate order and their certificates must be exactly
+    those of the independent labelled generator; above that they come in
+    generation order and no certificate is built.  The minimum and
+    maximum sweeps above ``LABELLED_GUARD_N`` take the same guarded
+    stream as keys instead (:func:`_checked_counts`).
     """
     guarded = n <= LABELLED_GUARD_N
     graphs = enumerate_bicyclic(n, cap) if guarded else list(generate_bicyclic(n, cap))
-    if not graphs:
-        raise ContractViolationError(f"enumeration produced no graphs at n={n}")
-    if n in _BICYCLIC_CLASSES and len(graphs) != _BICYCLIC_CLASSES[n]:
-        raise ContractViolationError(
-            f"enumeration produced {len(graphs)} classes at n={n}, "
-            f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
-        )
+    _check_class_count(n, len(graphs))
     if guarded:
         # Imported here so that numpy stays out of unguarded runs.
         from .crosscheck import labeled_bicyclic_certificates
@@ -186,6 +180,45 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     return graphs
 
 
+def _checked_counts(n: int, cap: int | None) -> tuple[list[int], Callable[[int], Graph]]:
+    """Counts of the guarded corpus, cross-checked by the oracle, and
+    the class at each index as a ``Graph``.
+
+    Up to ``LABELLED_GUARD_N`` the corpus is :func:`_guarded_enumeration`'s,
+    each graph counted by the block pass (``smart_count``), and the oracle
+    recounts every class.  Above that it is ``generate_counted_keys``:
+    each class is counted from its attachment key by the block pass on
+    its core, the number of keys passes :func:`_check_class_count`, and a
+    graph is built from a key only when asked for.  The oracle recounts
+    the classes at the least count and at the two largest, the only ones
+    a verdict of the minimum or maximum sweep reads.  A disagreement is a
+    contract violation naming the class.
+    """
+    if n <= LABELLED_GUARD_N:
+        graphs = _guarded_enumeration(n, cap)
+        counts = [smart_count(g).total for g in graphs]
+        graph = graphs.__getitem__
+        read = set(counts)
+    else:
+        keyed = list(generate_counted_keys(n, cap))
+        _check_class_count(n, len(keyed))
+        counts = [count for _, count in keyed]
+
+        def graph(i: int) -> Graph:
+            return graph_from_key(keyed[i][0])
+
+        read = {min(counts), *sorted(set(counts))[-2:]}
+    picked = [i for i, c in enumerate(counts) if c in read]
+    recount = [graph(i) for i in picked]
+    for i, g, truth in zip(picked, recount, count_stream(recount)):
+        if counts[i] != truth:
+            raise ContractViolationError(
+                f"block pass counts {counts[i]} and oracle {truth} "
+                f"on {to_graph6(g)} at n={n}"
+            )
+    return counts, graph
+
+
 def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
     """Smallest count over all n-vertex bicyclic graphs and its attainers.
 
@@ -194,10 +227,9 @@ def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
     """
     if n < 5:
         raise ContractViolationError("the minimum sweep starts at n = 5")
-    graphs = _guarded_enumeration(n, cap)
-    counts = _checked_counts(n, graphs)
+    counts, graph = _checked_counts(n, cap)
     lo = min(counts)
-    attainers = _attainers(g for g, c in zip(graphs, counts) if c == lo)
+    attainers = _attainers(graph(i) for i, c in enumerate(counts) if c == lo)
     expected_min = (n + 6) * (n - 1) // 2
     # str() so that an unnamed attainer (family None) sorts and fails.
     families = sorted(str(a["family"]) for a in attainers)
@@ -212,7 +244,7 @@ def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
             "min_formula": "(n+6)(n-1)/2",
             "minimisers": "{L5, A5}" if n == 5 else f"L{n} (unique)",
         },
-        observed={"min": lo, "minimiser_count": len(attainers), "classes": len(graphs)},
+        observed={"min": lo, "minimiser_count": len(attainers), "classes": len(counts)},
         attainers=attainers,
         status=status,
     )
@@ -229,12 +261,11 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
     """
     if n < 5:
         raise ContractViolationError("the maximum sweep starts at n = 5")
-    graphs = _guarded_enumeration(n, cap)
-    counts = _checked_counts(n, graphs)
+    counts, graph = _checked_counts(n, cap)
     hi = max(counts)
-    attainers = _attainers(g for g, c in zip(graphs, counts) if c == hi)
+    attainers = _attainers(graph(i) for i, c in enumerate(counts) if c == hi)
     second = max((c for c in counts if c != hi), default=0)
-    runners_up = [g for g, c in zip(graphs, counts) if c == second]
+    runners_up = [graph(i) for i, c in enumerate(counts) if c == second]
     if n < 8:
         expected: dict[str, object] = {"scope": "informational below n = 8"}
         status = INFORMATIONAL
@@ -265,7 +296,7 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
             "maximiser_count": len(attainers),
             "second_max": second,
             "second_attainers": len(runners_up),
-            "classes": len(graphs),
+            "classes": len(counts),
         },
         attainers=attainers,
         status=status,

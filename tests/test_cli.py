@@ -243,6 +243,7 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
     monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
+    monkeypatch.setattr(cli.verify_mod, "generate_counted_keys", refuse)
     monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
     for command in (("verify", "min"), ("enumerate",)):
         for workers in ("0", "-1", "2", str(os.cpu_count() + 1)):
@@ -261,7 +262,8 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
 
     for name in ("_load_graph", "build", "enumerate_bicyclic"):
         monkeypatch.setattr(cli, name, refuse)
-    for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
+    stages = ("enumerate_bicyclic", "generate_bicyclic", "generate_counted_keys", "count_stream")
+    for name in stages:
         monkeypatch.setattr(cli.verify_mod, name, refuse)
     for bad in ("0", "-1", "-5"):
         for argv in (
@@ -283,7 +285,8 @@ def test_unwritable_out_rejected_before_any_work(tmp_path, capsys, monkeypatch):
         raise AssertionError("work started before --out was checked")
 
     monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
-    for name in ("enumerate_bicyclic", "generate_bicyclic", "count_stream"):
+    stages = ("enumerate_bicyclic", "generate_bicyclic", "generate_counted_keys", "count_stream")
+    for name in stages:
         monkeypatch.setattr(cli.verify_mod, name, refuse)
     for argv, out in (
         (("verify", "min", "--n", "12", "--cap", "12"), tmp_path),
@@ -304,10 +307,16 @@ def test_verify_output_does_not_depend_on_generation_order(capsys, monkeypatch):
     import connsets.cli as cli
 
     real = cli.verify_mod.generate_bicyclic
+    real_keys = cli.verify_mod.generate_counted_keys
     claims = ("min", "max", "vertex-bound")
     forward = [run(capsys, "verify", claim, "--n", "9") for claim in claims]
     monkeypatch.setattr(
         cli.verify_mod, "generate_bicyclic", lambda n, cap=None: reversed(list(real(n, cap)))
+    )
+    monkeypatch.setattr(
+        cli.verify_mod,
+        "generate_counted_keys",
+        lambda n, cap=None: reversed(list(real_keys(n, cap))),
     )
     backward = [run(capsys, "verify", claim, "--n", "9") for claim in claims]
     assert [code for code, _, _ in forward] == [0, 0, 0]
@@ -502,10 +511,10 @@ def test_failed_verify_exits_1_and_names_the_claim(capsys, monkeypatch):
 
     real = cli.verify_mod._checked_counts
 
-    def lowered(n, graphs):
-        counts = real(n, graphs)
+    def lowered(n, cap):
+        counts, graph = real(n, cap)
         second = sorted(set(counts))[-2]
-        return [c - 1 if c == second else c for c in counts]
+        return [c - 1 if c == second else c for c in counts], graph
 
     monkeypatch.setattr(cli.verify_mod, "_checked_counts", lowered)
     code, out, err = run(capsys, "verify", "max", "--n", "8")

@@ -24,7 +24,7 @@ from connsets import (
     smart_count_rooted,
     tree_rooted_count,
 )
-from connsets.enumeration import enumerate_trees, generate_bicyclic
+from connsets.enumeration import enumerate_trees, generate_bicyclic, generate_counted_keys
 from connsets.families import FamilySpec, build, closed_form
 from connsets.graphs import MAX_VERTICES
 
@@ -241,11 +241,13 @@ def test_smart_count_equals_oracle_everywhere():
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 12), connected=True)
         assert smart_count(g).total == oracle_count(g).total
-    # Every class up to n = 10: above n = 8, verify reads the oracle only
-    # on the classes at the extreme counts and trusts the block pass on the rest.
+    # Every class up to n = 10, by the block pass on the graph and on the
+    # generation key: above n = 8, verify reads the oracle only on the
+    # classes at the extreme counts and trusts the keyed count on the rest.
     for n in range(4, 11):
-        for g in generate_bicyclic(n, n):
-            assert smart_count(g).total == oracle_count(g).total
+        keyed = generate_counted_keys(n, n)
+        for g, (_, count) in zip(generate_bicyclic(n, n), keyed, strict=True):
+            assert smart_count(g).total == count == oracle_count(g).total
     for n in range(1, 9):
         for t in enumerate_trees(n):
             assert smart_count(t).total == oracle_count(t).total
@@ -266,9 +268,10 @@ def test_smart_count_equals_oracle_everywhere():
 
 
 def test_weighted_search_equals_a_subset_scan():
-    # The one search at any weights, and the block sums of the block pass
-    # (searched or by the arc rule, at every head), equal a scan of every
-    # subset with the dictionary connectivity check of conftest.
+    # The one search at any weights, the weighted block pass, and the block
+    # sums of the block pass (searched or by the arc rule, at every head),
+    # equal a scan of every subset with the dictionary connectivity check
+    # of conftest.
     import connsets.counting as counting
     from connsets.graphs import bits, blocks
 
@@ -294,6 +297,8 @@ def test_weighted_search_equals_a_subset_scan():
         # A tailed triangle, a separate edge and an isolated vertex.
         Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]),
     ]
+    shapes = random.Random(21)
+    graphs += [random_graph(shapes, shapes.randint(1, 8)) for _ in range(8)]
     rng = random.Random(20)
     for g in graphs:
         adjacency = naive_adjacency(g)
@@ -303,6 +308,7 @@ def test_weighted_search_equals_a_subset_scan():
             assert counting._connected_subsets(g.adj, 0, w) == 0
             search = counting._connected_subsets(g.adj, g.vertex_mask, w)
             assert search == scan(adjacency, every, w)
+            assert counting.weighted_total(g, blocks(g), list(w), None) == search
             for head in every:
                 through = counting._connected_subsets(g.adj, g.vertex_mask, w, 1 << head)
                 assert through == scan(adjacency, every, w, (head,)), (g.edges(), head)

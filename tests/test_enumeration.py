@@ -14,6 +14,7 @@ from connsets import (
     cut_vertices,
     is_connected,
     oracle_count,
+    oracle_count_rooted,
 )
 from connsets import canon, crosscheck
 from connsets.canon import automorphism_group
@@ -29,6 +30,7 @@ from connsets.enumeration import (
     _rooted_tree_counts,
     _rooted_trees,
     _shape_group_order,
+    _tree_counts,
     _with_attachments,
     enumerate_bicyclic,
     generate_bicyclic,
@@ -155,7 +157,9 @@ def test_repeated_certificate_is_a_contract_violation(monkeypatch):
     first = next(generate_bicyclic(6))
     twin = first.relabel(tuple(reversed(range(first.n))))
     assert to_graph6(twin) != to_graph6(first)
-    monkeypatch.setattr(enumeration, "_guarded_stream", lambda n: iter([first, twin]))
+    monkeypatch.setattr(
+        enumeration, "generate_bicyclic", lambda n, cap=None: iter([first, twin])
+    )
     with pytest.raises(ContractViolationError, match="produced one class twice") as info:
         enumerate_bicyclic(6)
     assert to_graph6(first) in str(info.value) and to_graph6(twin) in str(info.value)
@@ -163,6 +167,15 @@ def test_repeated_certificate_is_a_contract_violation(monkeypatch):
 
 def test_otter_recurrence_counts_the_level_sequences():
     assert _rooted_tree_counts(12)[1:] == [len(_rooted_trees(j)) for j in range(1, 13)]
+
+
+def test_tree_table_counts_every_rooted_shape():
+    # The (N, r) weights of the keyed count, against the oracle.
+    for size in range(1, 9):
+        table = zip(_rooted_trees(size), _tree_counts(size), strict=True)
+        for edges, pair in table:
+            t = Graph.from_edges(size, edges)
+            assert pair == (oracle_count(t).total, oracle_count_rooted(t, 0).value), edges
 
 
 def test_closed_form_group_order_matches_the_search():

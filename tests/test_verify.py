@@ -114,10 +114,10 @@ def test_exhaustiveness_guard_catches_broken_enumeration(monkeypatch):
 
 def test_exhaustiveness_guard_covers_orders_past_the_labelled_sweep(monkeypatch):
     import connsets.verify as verify_mod
-    from connsets.enumeration import generate_bicyclic as real
+    from connsets.enumeration import generate_counted_keys as real
 
     monkeypatch.setattr(
-        verify_mod, "generate_bicyclic", lambda n, cap=None: list(real(n))[:-1]
+        verify_mod, "generate_counted_keys", lambda n, cap=None: list(real(n))[:-1]
     )
     with pytest.raises(ContractViolationError):
         verify_mod.verify_minimum(9)
@@ -133,11 +133,12 @@ def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
     real_counts = verify_mod._checked_counts
     real_rooted = verify_mod.oracle_count_rooted
     real_stream = verify_mod.generate_bicyclic
+    real_keys = verify_mod.generate_counted_keys
 
-    def tied_counts(n, graphs):
-        counts = real_counts(n, graphs)
+    def tied_counts(n, cap):
+        counts, graph = real_counts(n, cap)
         third = sorted(set(counts))[2]
-        return [max(c, third) for c in counts]
+        return [max(c, third) for c in counts], graph
 
     def tied_rooted(g, v, cap=None):
         value = real_rooted(g, v, cap).value
@@ -146,6 +147,9 @@ def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
     monkeypatch.setattr(verify_mod, "_checked_counts", tied_counts)
     monkeypatch.setattr(verify_mod, "oracle_count_rooted", tied_rooted)
     forward = (verify_mod.verify_minimum(9), verify_mod.verify_vertex_bound(9))
+    monkeypatch.setattr(
+        verify_mod, "generate_counted_keys", lambda n, cap=None: reversed(list(real_keys(n, cap)))
+    )
     monkeypatch.setattr(
         verify_mod, "generate_bicyclic", lambda n, cap=None: reversed(list(real_stream(n, cap)))
     )
@@ -176,10 +180,10 @@ def test_maximum_fails_when_the_runner_up_is_off(monkeypatch):
 
     real = verify_mod._checked_counts
 
-    def lowered(n, graphs):
-        counts = real(n, graphs)
+    def lowered(n, cap):
+        counts, graph = real(n, cap)
         second = sorted(set(counts))[-2]
-        return [c - 1 if c == second else c for c in counts]
+        return [c - 1 if c == second else c for c in counts], graph
 
     monkeypatch.setattr(verify_mod, "_checked_counts", lowered)
     report = verify_mod.verify_maximum(9)
@@ -195,12 +199,12 @@ def test_maximum_fails_when_the_runner_up_is_not_r(monkeypatch):
     real = verify_mod._checked_counts
     r9 = canonical_certificate(build(FamilySpec("R", (9,))))
 
-    def swapped(n, graphs):
-        counts = real(n, graphs)
-        i = next(k for k, g in enumerate(graphs) if canonical_certificate(g) == r9)
+    def swapped(n, cap):
+        counts, graph = real(n, cap)
+        i = next(k for k in range(len(counts)) if canonical_certificate(graph(k)) == r9)
         j = counts.index(min(counts))
         counts[i], counts[j] = counts[j], counts[i]
-        return counts
+        return counts, graph
 
     assert verify_mod.verify_maximum(9).status == PASS
     monkeypatch.setattr(verify_mod, "_checked_counts", swapped)
@@ -246,8 +250,9 @@ def test_oracle_recounts_only_what_a_verdict_reads(monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 7])
 def test_block_pass_disagreeing_with_the_oracle_is_a_contract_violation(monkeypatch, n):
-    # Off by one on R9, the runner-up; at n = 7, on a class of middle
-    # count, which only the recount of every class at n <= 8 reads.
+    # Off by one on R9's keyed count, the runner-up; at n = 7, on the
+    # block pass of a class of middle count, which only the recount of
+    # every class at n <= 8 reads.
     import connsets.verify as verify_mod
     from connsets.counting import smart_count
     from connsets.graphs import to_graph6
@@ -256,17 +261,24 @@ def test_block_pass_disagreeing_with_the_oracle_is_a_contract_violation(monkeypa
     if n == 9:
         r9 = canonical_certificate(build(FamilySpec("R", (9,))))
         target = next(g for g in graphs if canonical_certificate(g) == r9)
+        real = verify_mod.generate_counted_keys
+
+        def off_by_one_key(n, cap=None):
+            for key, count in real(n, cap):
+                yield key, count + (verify_mod.graph_from_key(key) == target)
+
+        monkeypatch.setattr(verify_mod, "generate_counted_keys", off_by_one_key)
     else:
         counts = sorted({smart_count(g).total for g in graphs})
         middle = counts[len(counts) // 2]
         target = next(g for g in graphs if smart_count(g).total == middle)
+
+        def off_by_one(g, cap=None):
+            result = smart_count(g, cap)
+            return type(result)(result.total + 1) if g == target else result
+
+        monkeypatch.setattr(verify_mod, "smart_count", off_by_one)
     true = smart_count(target).total
-
-    def off_by_one(g, cap=None):
-        result = smart_count(g, cap)
-        return type(result)(result.total + 1) if g == target else result
-
-    monkeypatch.setattr(verify_mod, "smart_count", off_by_one)
     with pytest.raises(ContractViolationError) as excinfo:
         verify_mod.verify_maximum(n)
     message = str(excinfo.value)
