@@ -535,3 +535,19 @@ def test_cli_import_keeps_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_above_the_guard_keeps_numpy_out():
+    # Above MAX_CROSSCHECK_N the labelled guard does not run, so neither it
+    # nor numpy is imported.
+    probe = (
+        "import contextlib, io, sys\n"
+        "from connsets.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', 'max', '--n', '9'])\n"
+        "print(code, sorted({'numpy', 'connsets.crosscheck'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

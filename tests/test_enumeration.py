@@ -302,31 +302,60 @@ def test_labeled_classes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def subset_masks(slots, k):
-    """The masks of ``crosscheck._subset_masks`` over the first ``slots``
-    edge slots of K7 (21 slots), without their partition ids."""
-    join, start, _ = crosscheck._partition_table(7)
-    return crosscheck._subset_masks(join, start, slots, k)[0]
-
-
-def test_subset_masks_match_combinations():
+def ascending_masks(slots, k):
+    """Every k-subset of ``range(slots)`` as a bitmask, in ascending order."""
     import itertools
 
-    for slots, k in ((0, 0), (1, 1), (5, 0), (5, 2), (6, 6), (7, 3), (10, 4)):
-        expected = sorted(
-            sum(1 << e for e in combo) for combo in itertools.combinations(range(slots), k)
-        )
-        assert subset_masks(slots, k).tolist() == expected, (slots, k)
+    return sorted(sum(1 << e for e in combo) for combo in itertools.combinations(range(slots), k))
 
 
-def test_colex_rank_is_the_index_in_subset_masks():
+def graph_of_mask(n, mask):
+    slots = crosscheck._edge_slots(n)
+    return Graph.from_edges(n, [slots[e] for e in range(len(slots)) if mask >> e & 1])
+
+
+def test_subset_partitions_match_combinations():
+    # Over the 21 edge slots of K7: folding the slots of the r-th ascending
+    # mask through the join table gives the id the recurrence holds at r.
+    join, start, _ = crosscheck._partition_table(7)
+    for slots, k in ((0, 0), (1, 1), (5, 0), (5, 2), (6, 6), (7, 3), (10, 4), (15, 6)):
+        expected = []
+        for mask in ascending_masks(slots, k):
+            p = start
+            for e in range(slots):
+                if mask >> e & 1:
+                    p = int(join[p, e])
+            expected.append(p)
+        ids = crosscheck._subset_partitions(join, start, slots, k)
+        assert ids.dtype == np.int16 and ids.tolist() == expected, (slots, k)
+
+
+def test_colex_rank_is_the_index_in_ascending_order():
     import math
 
     # (21, 8) is every edge set of a 7-vertex bicyclic graph.
     for slots, k in ((0, 0), (5, 0), (5, 2), (6, 6), (10, 4), (15, 6), (21, 8)):
-        masks = subset_masks(slots, k)
+        masks = np.array(ascending_masks(slots, k), dtype=np.uint32)
         ranks = crosscheck._colex_rank(crosscheck._rank_tables(slots), masks)
         assert np.array_equal(ranks, np.arange(math.comb(slots, k))), (slots, k)
+
+
+def test_colex_unrank_round_trips():
+    import math
+
+    # Small pairs: rank r unranks to the r-th ascending mask.
+    for slots, k in ((0, 0), (1, 1), (5, 0), (5, 2), (6, 6), (10, 4)):
+        masks = ascending_masks(slots, k)
+        unranked = [crosscheck._colex_unrank(r, slots, k) for r in range(len(masks))]
+        assert unranked == masks, (slots, k)
+    # Up to every 8-subset of 27 slots: a spread of ranks, both ends included.
+    for slots, k in ((15, 6), (21, 8), (26, 3), (27, 8)):
+        total = math.comb(slots, k)
+        ranks = sorted({0, 1, total - 2, total - 1, *range(0, total, max(1, total // 1000))})
+        masks = [crosscheck._colex_unrank(r, slots, k) for r in ranks]
+        assert all(bin(mask).count("1") == k and mask >> slots == 0 for mask in masks), (slots, k)
+        back = crosscheck._colex_rank(crosscheck._rank_tables(slots), np.array(masks, np.uint32))
+        assert back.tolist() == ranks, (slots, k)
 
 
 def test_edge_masks_fit_in_32_bits():
@@ -378,49 +407,80 @@ def test_partition_table_reaches_and_keeps_the_single_block():
 
 @pytest.mark.parametrize("large_n", [None, 7])
 def test_connected_sweep_by_top_slot_matches_the_whole_subset_list(large_n):
-    import itertools
-    import math
-
-    # None: n = 4..6, checked against an is_connected loop.  7: the
-    # C(21, 8) subsets are too many for the loop, so the reference is the
-    # partition id that the whole subset list carries for each mask.
+    # None: n = 4..6, checked against an is_connected loop over the masks
+    # in ascending order.  7: the C(21, 8) subsets are too many for the
+    # loop, so the reference is the partition id that the recurrence over
+    # all 21 slots carries for each rank, not block by top slot.
     for n in (4, 5, 6) if large_n is None else (large_n,):
         slots = crosscheck._edge_slots(n)
         if large_n is None:
             expected = [
-                is_connected(Graph.from_edges(n, [slots[e] for e in combo]))
-                for combo in sorted(
-                    itertools.combinations(range(len(slots)), n + 1),
-                    key=lambda combo: sum(1 << e for e in combo),
-                )
+                is_connected(graph_of_mask(n, mask)) for mask in ascending_masks(len(slots), n + 1)
             ]
-            masks = subset_masks(len(slots), n + 1)
         else:
             join, start, whole = crosscheck._partition_table(n)
-            masks, ids = crosscheck._subset_masks(join, start, len(slots), n + 1)
+            ids = crosscheck._subset_partitions(join, start, len(slots), n + 1)
             expected = (ids == whole).tolist()
-        base, starts, keep = crosscheck._connected_sweep(n)
-        assert keep.tolist() == expected, n
-        # Block t: the masks with top slot t, ranks C(t, n + 1) to C(t + 1, n + 1).
-        for t in range(n, len(slots)):
-            block = masks[starts[t] : math.comb(t + 1, n + 1)]
-            assert np.array_equal(block, base[: len(block)] | np.uint32(1 << t)), (n, t)
+        state = crosscheck._connected_sweep(n)
+        assert isinstance(state, bytearray), n
+        assert list(state) == [int(flag) for flag in expected], n
+
+
+def test_connected_sweep_state_at_n8():
+    # One byte per 9-edge subset of the 28 slots of K8, 1 where connected.
+    state = crosscheck._connected_sweep(8)
+    assert len(state) == 6_906_900
+    assert len(state) - state.count(0) == state.count(1) == 4_483_360
+
+
+def test_labeled_sweep_peak_memory_at_n8():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pytest.importorskip("resource")
+    # A fresh interpreter, so the peak is the sweep's and not an earlier
+    # test's; ru_maxrss is in KiB on Linux.
+    probe = (
+        "import resource, numpy, connsets.cli, connsets.crosscheck as c\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "c.labeled_bicyclic_classes.__wrapped__(8)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 30 * 1024, proc.stdout
 
 
 def test_connected_edge_masks_match_a_loop_reference():
-    import itertools
-
     for n in (4, 5):
         slots = crosscheck._edge_slots(n)
         join, start, whole = crosscheck._partition_table(n)
         for m in range(len(slots) + 1):
-            expected = sorted(
-                sum(1 << e for e in combo)
-                for combo in itertools.combinations(range(len(slots)), m)
-                if is_connected(Graph.from_edges(n, [slots[e] for e in combo]))
-            )
-            masks, ids = crosscheck._subset_masks(join, start, len(slots), m)
-            assert masks[ids == whole].tolist() == expected, (n, m)
+            masks = ascending_masks(len(slots), m)
+            expected = [mask for mask in masks if is_connected(graph_of_mask(n, mask))]
+            ids = crosscheck._subset_partitions(join, start, len(slots), m)
+            assert [mask for mask, p in zip(masks, ids) if p == whole] == expected, (n, m)
+
+
+def test_slot_bits_match_a_permutations_reference():
+    import itertools
+
+    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
+        slots = crosscheck._edge_slots(n)
+        us = np.array([u for u, _ in slots], dtype=np.intp)
+        vs = np.array([v for _, v in slots], dtype=np.intp)
+        slot_index = np.zeros((n, n), dtype=np.intp)
+        slot_index[us, vs] = slot_index[vs, us] = np.arange(len(slots))
+        # Lexicographic order, identity first.
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        expected = np.uint32(1) << slot_index[perms[:, us], perms[:, vs]].T.astype(np.uint32)
+        table = crosscheck._slot_bits(n)
+        assert table.dtype == np.uint32, n
+        assert np.array_equal(table, expected), n
 
 
 def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
@@ -428,11 +488,11 @@ def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
     cleared = []
 
     def one_short(n):
-        base, starts, keep = real(n)
-        hits = np.flatnonzero(keep)
+        state = real(n)
+        hits = np.flatnonzero(np.frombuffer(state, dtype=np.uint8))
         cleared.append(int(hits[len(hits) // 2]))
-        keep[cleared[0]] = False
-        return base, starts, keep
+        state[cleared[0]] = 0
+        return state
 
     monkeypatch.setattr(crosscheck, "_connected_sweep", one_short)
     # Bypass the cache so the truncated sweep really runs.
@@ -470,14 +530,14 @@ def test_labeled_sweep_checks_the_rank_of_each_representative(monkeypatch):
 
 
 def test_labeled_sweep_checks_orbit_size_against_the_stabiliser(monkeypatch):
-    real = crosscheck._permutation_edge_maps
+    real = crosscheck._slot_bits
 
     def not_a_group(n):
         table = real(n).copy()
-        table[-1] = table[0]  # the last permutation becomes a second identity
+        table[:, -1] = table[:, 0]  # the last permutation becomes a second identity
         return table
 
-    monkeypatch.setattr(crosscheck, "_permutation_edge_maps", not_a_group)
+    monkeypatch.setattr(crosscheck, "_slot_bits", not_a_group)
     with pytest.raises(ContractViolationError, match=r"n=5: \d+ distinct images"):
         labeled_bicyclic_classes.__wrapped__(5)
 
