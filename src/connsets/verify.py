@@ -47,7 +47,8 @@ FAIL = "fail"
 INFORMATIONAL = "informational"
 
 # Largest order where the labelled guard runs and the oracle recounts every
-# class: crosscheck.MAX_CROSSCHECK_N, named here to keep numpy out above it.
+# class: crosscheck.MAX_CROSSCHECK_N, named here so that runs above it never
+# import the guard.
 LABELLED_GUARD_N = 8
 
 
@@ -169,7 +170,8 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     graphs = enumerate_bicyclic(n, cap) if guarded else list(generate_bicyclic(n, cap))
     _check_class_count(n, len(graphs))
     if guarded:
-        # Imported here so that numpy stays out of unguarded runs.
+        # Imported here so that unguarded runs and `import connsets.cli`
+        # never load the guard.
         from .crosscheck import labeled_bicyclic_certificates
 
         own = sorted(canonical_certificate(g) for g in graphs)

@@ -529,8 +529,7 @@ def test_identical_invocations_identical_bytes(capsys):
 
 
 def test_cli_import_keeps_numpy_out():
-    # The benchmark's setup time is this import; numpy loads only with
-    # the labelled guard.
+    # The benchmark's setup time is this import, which loads no numpy.
     probe = "import sys, connsets.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True)
@@ -551,3 +550,18 @@ def test_verify_above_the_guard_keeps_numpy_out():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
+
+
+def test_labelled_guard_runs_without_numpy():
+    # At n = 8 the labelled guard runs, in pure Python.
+    probe = (
+        "import contextlib, io, sys\n"
+        "from connsets.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', 'min', '--n', '8'])\n"
+        "print(code, sorted({'numpy', 'connsets.crosscheck'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 ['connsets.crosscheck']\n"

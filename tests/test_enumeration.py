@@ -1,7 +1,6 @@
 """Tree and bicyclic generation, core extraction, and the cross-check
 against the independent labelled generator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,135 +301,110 @@ def test_labeled_classes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def ascending_masks(slots, k):
-    """Every k-subset of ``range(slots)`` as a bitmask, in ascending order."""
-    import itertools
-
-    return sorted(sum(1 << e for e in combo) for combo in itertools.combinations(range(slots), k))
-
-
 def graph_of_mask(n, mask):
     slots = crosscheck._edge_slots(n)
     return Graph.from_edges(n, [slots[e] for e in range(len(slots)) if mask >> e & 1])
 
 
-def test_subset_partitions_match_combinations():
-    # Over the 21 edge slots of K7: folding the slots of the r-th ascending
-    # mask through the join table gives the id the recurrence holds at r.
-    join, start, _ = crosscheck._partition_table(7)
-    for slots, k in ((0, 0), (1, 1), (5, 0), (5, 2), (6, 6), (7, 3), (10, 4), (15, 6)):
-        expected = []
-        for mask in ascending_masks(slots, k):
-            p = start
-            for e in range(slots):
-                if mask >> e & 1:
-                    p = int(join[p, e])
-            expected.append(p)
-        ids = crosscheck._subset_partitions(join, start, slots, k)
-        assert ids.dtype == np.int16 and ids.tolist() == expected, (slots, k)
+def test_connected_edge_masks_match_a_loop_reference():
+    # Each realised mask is connected by an is_connected loop, appears once,
+    # and is filed under its own degree sequence.
+    for n in (4, 5, 6):
+        sweep = crosscheck._connected_sweep(n)
+        realised = [mask for graphs in sweep.values() for mask in graphs]
+        assert len(realised) == len(set(realised)), n
+        for d, graphs in sweep.items():
+            for mask in graphs:
+                g = graph_of_mask(n, mask)
+                assert mask.bit_count() == n + 1 and is_connected(g), (n, mask)
+                assert g.degrees() == d, (n, d, mask)
 
 
-def test_colex_rank_is_the_index_in_ascending_order():
-    import math
-
-    # (21, 8) is every edge set of a 7-vertex bicyclic graph.
-    for slots, k in ((0, 0), (5, 0), (5, 2), (6, 6), (10, 4), (15, 6), (21, 8)):
-        masks = np.array(ascending_masks(slots, k), dtype=np.uint32)
-        ranks = crosscheck._colex_rank(crosscheck._rank_tables(slots), masks)
-        assert np.array_equal(ranks, np.arange(math.comb(slots, k))), (slots, k)
-
-
-def test_colex_unrank_round_trips():
-    import math
-
-    # Small pairs: rank r unranks to the r-th ascending mask.
-    for slots, k in ((0, 0), (1, 1), (5, 0), (5, 2), (6, 6), (10, 4)):
-        masks = ascending_masks(slots, k)
-        unranked = [crosscheck._colex_unrank(r, slots, k) for r in range(len(masks))]
-        assert unranked == masks, (slots, k)
-    # Up to every 8-subset of 27 slots: a spread of ranks, both ends included.
-    for slots, k in ((15, 6), (21, 8), (26, 3), (27, 8)):
-        total = math.comb(slots, k)
-        ranks = sorted({0, 1, total - 2, total - 1, *range(0, total, max(1, total // 1000))})
-        masks = [crosscheck._colex_unrank(r, slots, k) for r in ranks]
-        assert all(bin(mask).count("1") == k and mask >> slots == 0 for mask in masks), (slots, k)
-        back = crosscheck._colex_rank(crosscheck._rank_tables(slots), np.array(masks, np.uint32))
-        assert back.tolist() == ranks, (slots, k)
-
-
-def test_edge_masks_fit_in_32_bits():
-    # Every mask in the sweep is a uint32.
-    assert len(crosscheck._edge_slots(crosscheck.MAX_CROSSCHECK_N)) <= 32
-
-
-def test_partition_table_joins_the_blocks_of_each_slot():
-    bell = {4: 15, 5: 52, 6: 203}
-    for n, count in bell.items():
-        slots = crosscheck._edge_slots(n)
-        join, start, whole = crosscheck._partition_table(n)
-        assert join.shape == (count, len(slots)), n
-
-        def union(blocks, u, v):
-            joined = {b for b in blocks if u in b or v in b}
-            return blocks - joined | {frozenset().union(*joined)}
-
-        # Name each id by the partition it is first reached as from the
-        # singletons, then check every (partition, slot) pair against it.
-        named = {start: frozenset(frozenset([x]) for x in range(n))}
-        queue = [start]
-        while queue:
-            p = queue.pop()
-            for e, (u, v) in enumerate(slots):
-                q = int(join[p, e])
-                if q not in named:
-                    named[q] = union(named[p], u, v)
-                    queue.append(q)
-        assert len(set(named.values())) == len(named) == count, n
-        for p, blocks in named.items():
-            for e, (u, v) in enumerate(slots):
-                assert named[int(join[p, e])] == union(blocks, u, v), (n, p, e)
-        assert named[whole] == frozenset([frozenset(range(n))]), n
-
-
-def test_partition_table_reaches_and_keeps_the_single_block():
-    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
-        join, start, whole = crosscheck._partition_table(n)
-        slots = crosscheck._edge_slots(n)
-        # The path 0-1-...-(n-1) joins all n vertices only with its last edge.
-        p = start
-        for v in range(n - 1):
-            assert p != whole, (n, v)
-            p = join[p, slots.index((v, v + 1))]
-        assert p == whole, n
-        assert (join[whole] == whole).all(), n
-
-
-@pytest.mark.parametrize("large_n", [None, 7])
+@pytest.mark.parametrize("large_n", [None])
 def test_connected_sweep_by_top_slot_matches_the_whole_subset_list(large_n):
-    # None: n = 4..6, checked against an is_connected loop over the masks
-    # in ascending order.  7: the C(21, 8) subsets are too many for the
-    # loop, so the reference is the partition id that the recurrence over
-    # all 21 slots carries for each rank, not block by top slot.
-    for n in (4, 5, 6) if large_n is None else (large_n,):
+    # None: n = 4..6, where the sweep is checked against a brute-force
+    # filter of every (n + 1)-subset of the edge slots down to the
+    # connected degree-sorted graphs.  Larger n is too many subsets for the
+    # filter; its sweep sizes are pinned in test_connected_sweep_sizes.
+    import itertools
+
+    assert large_n is None
+    for n in (4, 5, 6):
+        slots = len(crosscheck._edge_slots(n))
+        expected = set()
+        for combo in itertools.combinations(range(slots), n + 1):
+            mask = sum(1 << e for e in combo)
+            g = graph_of_mask(n, mask)
+            if is_connected(g) and list(g.degrees()) == sorted(g.degrees(), reverse=True):
+                expected.add(mask)
+        sweep = crosscheck._connected_sweep(n)
+        assert {mask for graphs in sweep.values() for mask in graphs} == expected, n
+
+
+def test_connected_sweep_sizes():
+    import itertools
+
+    sizes = {4: 1, 5: 14, 6: 147, 7: 1431, 8: 15_020}
+    for n, size in sizes.items():
+        assert sum(len(graphs) for graphs in crosscheck._connected_sweep(n).values()) == size, n
+    for n in (4, 5, 6):
+        expected = {
+            d
+            for d in itertools.product(range(1, n), repeat=n)
+            if list(d) == sorted(d, reverse=True) and sum(d) == 2 * (n + 1)
+        }
+        assert set(crosscheck._degree_sequences(n)) == expected, n
+    assert len(crosscheck._degree_sequences(8)) == 33
+
+
+def test_young_permutations_preserve_the_degree_sequence():
+    import itertools
+    import math
+
+    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
+        for d in crosscheck._degree_sequences(n):
+            perms = crosscheck._young_permutations(d)
+            order = math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(d))
+            assert perms[0] == tuple(range(n)), d
+            assert len(set(perms)) == len(perms) == order, d
+            for p in perms:
+                assert sorted(p) == list(range(n)) and [d[v] for v in p] == list(d), (d, p)
+
+
+def test_slot_bits_match_a_permutations_reference():
+    import itertools
+
+    # Row e, column p of the table: the bit of the slot p moves slot e to.
+    for n in (4, 5, 6):
         slots = crosscheck._edge_slots(n)
-        if large_n is None:
-            expected = [
-                is_connected(graph_of_mask(n, mask)) for mask in ascending_masks(len(slots), n + 1)
-            ]
-        else:
-            join, start, whole = crosscheck._partition_table(n)
-            ids = crosscheck._subset_partitions(join, start, len(slots), n + 1)
-            expected = (ids == whole).tolist()
-        state = crosscheck._connected_sweep(n)
-        assert isinstance(state, bytearray), n
-        assert list(state) == [int(flag) for flag in expected], n
+        perms = list(itertools.permutations(range(n)))
+        expected = [
+            [1 << slots.index(tuple(sorted((p[u], p[v])))) for p in perms] for u, v in slots
+        ]
+        assert crosscheck._slot_images(n, perms) == expected, n
+    # Each orbit image is the mask of the edges moved by its permutation.
+    for n in (4, 5, 6):
+        for d, graphs in crosscheck._connected_sweep(n).items():
+            perms = crosscheck._young_permutations(d)
+            images = crosscheck._slot_images(n, perms)
+            for mask in graphs[:5]:
+                edges = graph_of_mask(n, mask).edges()
+                for p, image in zip(perms, crosscheck._orbit_images(images, mask)):
+                    moved = Graph.from_edges(n, [(p[u], p[v]) for u, v in edges])
+                    assert graph_of_mask(n, image) == moved, (n, d, mask, p)
 
 
-def test_connected_sweep_state_at_n8():
-    # One byte per 9-edge subset of the 28 slots of K8, 1 where connected.
-    state = crosscheck._connected_sweep(8)
-    assert len(state) == 6_906_900
-    assert len(state) - state.count(0) == state.count(1) == 4_483_360
+def test_connected_labelled_count_matches_brute_force():
+    for n in range(1, 7):
+        slots = len(crosscheck._edge_slots(n))
+        counts = [0] * (slots + 1)
+        for mask in range(1 << slots):
+            if is_connected(graph_of_mask(n, mask)):
+                counts[mask.bit_count()] += 1
+        recurrence = [crosscheck._connected_labelled_count(n, k) for k in range(slots + 1)]
+        assert recurrence == counts, n
+    at_n_plus_one = [crosscheck._connected_labelled_count(n, n + 1) for n in range(4, 9)]
+    assert at_n_plus_one == [6, 205, 5700, 156555, 4483360]
 
 
 def test_labeled_sweep_peak_memory_at_n8():
@@ -443,7 +417,7 @@ def test_labeled_sweep_peak_memory_at_n8():
     # A fresh interpreter, so the peak is the sweep's and not an earlier
     # test's; ru_maxrss is in KiB on Linux.
     probe = (
-        "import resource, numpy, connsets.cli, connsets.crosscheck as c\n"
+        "import resource, connsets.cli, connsets.crosscheck as c\n"
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "c.labeled_bicyclic_classes.__wrapped__(8)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
@@ -452,94 +426,113 @@ def test_labeled_sweep_peak_memory_at_n8():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 30 * 1024, proc.stdout
-
-
-def test_connected_edge_masks_match_a_loop_reference():
-    for n in (4, 5):
-        slots = crosscheck._edge_slots(n)
-        join, start, whole = crosscheck._partition_table(n)
-        for m in range(len(slots) + 1):
-            masks = ascending_masks(len(slots), m)
-            expected = [mask for mask in masks if is_connected(graph_of_mask(n, mask))]
-            ids = crosscheck._subset_partitions(join, start, len(slots), m)
-            assert [mask for mask, p in zip(masks, ids) if p == whole] == expected, (n, m)
-
-
-def test_slot_bits_match_a_permutations_reference():
-    import itertools
-
-    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
-        slots = crosscheck._edge_slots(n)
-        us = np.array([u for u, _ in slots], dtype=np.intp)
-        vs = np.array([v for _, v in slots], dtype=np.intp)
-        slot_index = np.zeros((n, n), dtype=np.intp)
-        slot_index[us, vs] = slot_index[vs, us] = np.arange(len(slots))
-        # Lexicographic order, identity first.
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        expected = np.uint32(1) << slot_index[perms[:, us], perms[:, vs]].T.astype(np.uint32)
-        table = crosscheck._slot_bits(n)
-        assert table.dtype == np.uint32, n
-        assert np.array_equal(table, expected), n
+    assert int(proc.stdout) < 8 * 1024, proc.stdout
 
 
 def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
     real = crosscheck._connected_sweep
-    cleared = []
+    dropped = []
 
     def one_short(n):
-        state = real(n)
-        hits = np.flatnonzero(np.frombuffer(state, dtype=np.uint8))
-        cleared.append(int(hits[len(hits) // 2]))
-        state[cleared[0]] = 0
-        return state
+        sweep = real(n)
+        dropped.append(max(sweep.values(), key=len).pop())
+        return sweep
 
     monkeypatch.setattr(crosscheck, "_connected_sweep", one_short)
     # Bypass the cache so the truncated sweep really runs.
     with pytest.raises(ContractViolationError, match="n=6: an orbit member is missing"):
         labeled_bicyclic_classes.__wrapped__(6)
-    assert cleared
+    assert dropped
 
 
 def test_labeled_sweep_overlapping_orbits_are_a_contract_violation(monkeypatch):
-    real = crosscheck._colex_rank
-    first = []
+    real = crosscheck._orbit_images
+    first = {}
 
-    def overlapping(tables, masks):
-        ranks = real(tables, masks)
-        # Orbits have more than one member; representatives are ranked alone.
-        if len(masks) > 1:
-            if first:
-                ranks[-1] = first[0]
-            else:
-                first.append(int(ranks[0]))
-        return ranks
+    def overlapping(images, mask):
+        orbit = real(images, mask)
+        # The first orbit of each degree sequence is kept; a later one whose
+        # images are all distinct takes that representative for its last.
+        degrees = graph_of_mask(6, mask).degrees()
+        if degrees not in first:
+            first[degrees] = mask
+        elif len(set(orbit)) == len(orbit) > 1:
+            orbit[-1] = first[degrees]
+        return orbit
 
-    monkeypatch.setattr(crosscheck, "_colex_rank", overlapping)
-    message = "n=5: the orbit overlaps a previously swept class"
+    monkeypatch.setattr(crosscheck, "_orbit_images", overlapping)
+    message = "n=6: the orbit overlaps a previously swept class"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(5)
+        labeled_bicyclic_classes.__wrapped__(6)
 
 
-def test_labeled_sweep_checks_the_rank_of_each_representative(monkeypatch):
-    real = crosscheck._colex_rank
-    monkeypatch.setattr(crosscheck, "_colex_rank", lambda tables, masks: real(tables, masks) + 1)
-    message = "n=5: the representative at index 0 has rank 1"
+def test_labeled_sweep_checks_each_realised_graph(monkeypatch):
+    real = crosscheck._connected_sweep
+
+    def misfiled(n):
+        # File a graph of one degree sequence under the one before it.
+        sweep = real(n)
+        first, second = [graphs for graphs in sweep.values() if graphs][:2]
+        first.append(second[0])
+        return sweep
+
+    monkeypatch.setattr(crosscheck, "_connected_sweep", misfiled)
+    message = r"n=6: a realised graph does not have 7 edges and degrees \(5, 3, 2, 2, 1, 1\)"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(5)
+        labeled_bicyclic_classes.__wrapped__(6)
+
+
+def test_labeled_sweep_orbits_cover_each_degree_sequence(monkeypatch):
+    real = crosscheck._connected_sweep
+
+    def repeated(n):
+        sweep = real(n)
+        graphs = max(sweep.values(), key=len)
+        graphs.append(graphs[0])
+        return sweep
+
+    monkeypatch.setattr(crosscheck, "_connected_sweep", repeated)
+    message = r"n=6: orbit sizes sum to (\d+), the connected sweep holds (?!\1)\d+ graphs"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes.__wrapped__(6)
 
 
 def test_labeled_sweep_checks_orbit_size_against_the_stabiliser(monkeypatch):
-    real = crosscheck._slot_bits
+    real = crosscheck._young_permutations
 
-    def not_a_group(n):
-        table = real(n).copy()
-        table[:, -1] = table[:, 0]  # the last permutation becomes a second identity
-        return table
+    def not_a_group(d):
+        perms = real(d)
+        return perms[:-1] + perms[:1]  # the last permutation becomes a second identity
 
-    monkeypatch.setattr(crosscheck, "_slot_bits", not_a_group)
+    monkeypatch.setattr(crosscheck, "_young_permutations", not_a_group)
     with pytest.raises(ContractViolationError, match=r"n=5: \d+ distinct images"):
         labeled_bicyclic_classes.__wrapped__(5)
+
+
+def test_labeled_sweep_checks_the_mass_against_the_labelled_count(monkeypatch):
+    from connsets.graphs import from_graph6
+
+    # A dropped degree sequence loses its classes' labelled orbits.
+    real = crosscheck._degree_sequences
+    lost = real(6)[-1]
+    kept = sum(
+        size
+        for cert, size in labeled_bicyclic_classes(6)
+        if tuple(sorted(from_graph6(cert).degrees(), reverse=True)) != lost
+    )
+    assert 0 < kept < 5700
+    monkeypatch.setattr(crosscheck, "_degree_sequences", lambda n: real(n)[:-1])
+    message = f"n=6: labelled orbit sizes sum to {kept}, but 5700 connected labelled graphs"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes.__wrapped__(6)
+    monkeypatch.undo()
+
+    # An off-by-one L(n) fails the full sweep.
+    count = crosscheck._connected_labelled_count
+    monkeypatch.setattr(crosscheck, "_connected_labelled_count", lambda n, k: count(n, k) + 1)
+    message = "n=6: labelled orbit sizes sum to 5700, but 5701 connected labelled graphs"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes.__wrapped__(6)
 
 
 def test_extract_core_family_shapes():
