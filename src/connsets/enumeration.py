@@ -24,8 +24,10 @@ the search lists for the core are distinct, map the core onto itself,
 and number the closed-form order of its shape's group.  The Burnside
 guard: the number of forests kept equals the number of orbits
 Burnside's lemma gives from rooted-tree counts (OEIS A000081, by
-Otter's recurrence).  An independent labelled-graph generator (see
-:mod:`connsets.crosscheck`) validates the pipeline for small n.
+Otter's recurrence).  Labelled-graph checks that share no code with it
+(see :mod:`connsets.crosscheck`) validate the pipeline for small n: the
+orbit-mass guard that ``verify`` runs, and a labelled generator that the
+tests compare the class lists with.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ with the block pass and have the oracle recount the classes their
 verdicts read: up to ``LABELLED_GUARD_N`` every class, each a graph
 counted by ``smart_count``; above it, each class is counted from its
 attachment key (``generate_counted_keys``), and a graph is built only
-for the classes a verdict reads.  All pass/fail decisions are integer-exact;
-nothing passes on approximate equality.  Reports are plain data,
-deterministic for a given (claim, n, seed), and serialise to JSON and a
-one-line CSV summary.
+for the classes a verdict reads.  Up to ``LABELLED_GUARD_N`` the corpus
+must also pass the labelled guard of :mod:`connsets.crosscheck`: pairwise
+disjoint Young-subgroup orbits whose labelled sizes sum to the number of
+connected labelled graphs, so one graph per class and no class missing.
+All pass/fail decisions are integer-exact; nothing passes on approximate
+equality.  Reports are plain data, deterministic for a given (claim, n,
+seed), and serialise to JSON and a one-line CSV summary.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ PASS = "pass"
 FAIL = "fail"
 INFORMATIONAL = "informational"
 
-# Largest order where the labelled guard runs and the oracle recounts every
+# Largest order where the labelled guard (the orbit-mass check of
+# crosscheck.labeled_bicyclic_classes) runs and the oracle recounts every
 # class: crosscheck.MAX_CROSSCHECK_N, named here so that runs above it never
 # import the guard.
 LABELLED_GUARD_N = 8
@@ -160,11 +164,14 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     of the shape), and the forests it keeps must number the orbits that
     Burnside's lemma counts.  Here the corpus must also pass
     :func:`_check_class_count`.  Up to ``LABELLED_GUARD_N`` the classes
-    come in certificate order and their certificates must be exactly
-    those of the independent labelled generator; above that they come in
-    generation order and no certificate is built.  The minimum and
-    maximum sweeps above ``LABELLED_GUARD_N`` take the same guarded
-    stream as keys instead (:func:`_checked_counts`).
+    come in certificate order and must pass the labelled guard
+    (``crosscheck.labeled_bicyclic_classes``), which shares no code with
+    the generator: each class is connected with n + 1 edges, their
+    Young-subgroup orbits are pairwise disjoint, and their labelled orbit
+    sizes n!/|Aut G| sum to L(n), so the list holds one graph per class.
+    Above that they come in generation order and no certificate is built.
+    The minimum and maximum sweeps above ``LABELLED_GUARD_N`` take the same
+    guarded stream as keys instead (:func:`_checked_counts`).
     """
     guarded = n <= LABELLED_GUARD_N
     graphs = enumerate_bicyclic(n, cap) if guarded else list(generate_bicyclic(n, cap))
@@ -172,13 +179,9 @@ def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
     if guarded:
         # Imported here so that unguarded runs and `import connsets.cli`
         # never load the guard.
-        from .crosscheck import labeled_bicyclic_certificates
+        from .crosscheck import labeled_bicyclic_classes
 
-        own = sorted(canonical_certificate(g) for g in graphs)
-        if own != list(labeled_bicyclic_certificates(n)):
-            raise ContractViolationError(
-                f"enumerated classes differ from the labelled generator at n={n}"
-            )
+        labeled_bicyclic_classes(n, graphs)
     return graphs
 
 

@@ -167,6 +167,23 @@ def test_benchmark_workloads_print_the_pinned_bytes(capsys):
         assert (code, digest) == (0, pinned["stdout_sha256"][name]), name
 
 
+def test_verify_runs_no_labelled_backtracker(capsys, monkeypatch):
+    # The n <= 8 guard is the orbit-mass check on the generated classes; the
+    # labelled backtracker is only the tests' reference.  The uncached sweep
+    # makes any call to it reach the patched backtracker.
+    from connsets import crosscheck
+
+    def refuse(n):
+        raise AssertionError("verify ran the labelled backtracker")
+
+    monkeypatch.setattr(crosscheck, "_connected_sweep", refuse)
+    monkeypatch.setattr(crosscheck, "_swept_classes", crosscheck._swept_classes.__wrapped__)
+    pinned = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    code, out, _ = run(capsys, "verify", "min", "--n", "8")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == (0, pinned["stdout_sha256"]["min-n8-guarded"])
+
+
 def test_graph6_help_names_file_for_graphs_past_the_argument_limit(capsys, monkeypatch):
     # Linux takes at most 131071 bytes in one argument; graph6 passes that
     # from 1255 vertices on.

@@ -18,6 +18,7 @@ from connsets import (
 from connsets import canon, crosscheck
 from connsets.canon import automorphism_group
 from connsets.crosscheck import (
+    _swept_classes,
     labeled_bicyclic_classes,
     labeled_tree_certificates,
 )
@@ -272,7 +273,7 @@ def test_cross_check_generator_agreement():
         own = tuple(
             canonical_certificate(g) for g in enumerate_bicyclic(n)
         )
-        labeled = labeled_bicyclic_classes(n)
+        labeled = _swept_classes(n)
         assert own == tuple(text for text, _ in labeled)
 
 
@@ -281,7 +282,7 @@ def test_labeled_generator_orbit_sizes():
     import math
 
     for n in (5, 6, 7):
-        for _, orbit in labeled_bicyclic_classes(n):
+        for _, orbit in _swept_classes(n):
             assert math.factorial(n) % orbit == 0
 
 
@@ -289,14 +290,14 @@ def test_labeled_orbit_sizes_sum_to_the_connected_sweep():
     # Connected labelled graphs with n vertices and n + 1 edges.
     totals = {4: 6, 5: 205, 6: 5700, 7: 156555, 8: 4483360}
     for n, total in totals.items():
-        assert sum(size for _, size in labeled_bicyclic_classes(n)) == total
+        assert sum(size for _, size in _swept_classes(n)) == total
 
 
 def test_labeled_classes_are_pinned():
     # Certificates and orbit sizes of every class the labelled sweep finds.
     import hashlib
 
-    text = repr([labeled_bicyclic_classes(n) for n in range(4, 9)])
+    text = repr([_swept_classes(n) for n in range(4, 9)])
     digest = "cfd12013089794498dab3da2001f5a18a48aac58c750eb2b51b68b0dc6ecf2ae"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -419,7 +420,7 @@ def test_labeled_sweep_peak_memory_at_n8():
     probe = (
         "import resource, connsets.cli, connsets.crosscheck as c\n"
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "c.labeled_bicyclic_classes.__wrapped__(8)\n"
+        "c._swept_classes.__wrapped__(8)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -441,7 +442,7 @@ def test_labeled_sweep_missing_graph_is_a_contract_violation(monkeypatch):
     monkeypatch.setattr(crosscheck, "_connected_sweep", one_short)
     # Bypass the cache so the truncated sweep really runs.
     with pytest.raises(ContractViolationError, match="n=6: an orbit member is missing"):
-        labeled_bicyclic_classes.__wrapped__(6)
+        _swept_classes.__wrapped__(6)
     assert dropped
 
 
@@ -463,7 +464,7 @@ def test_labeled_sweep_overlapping_orbits_are_a_contract_violation(monkeypatch):
     monkeypatch.setattr(crosscheck, "_orbit_images", overlapping)
     message = "n=6: the orbit overlaps a previously swept class"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(6)
+        _swept_classes.__wrapped__(6)
 
 
 def test_labeled_sweep_checks_each_realised_graph(monkeypatch):
@@ -479,7 +480,7 @@ def test_labeled_sweep_checks_each_realised_graph(monkeypatch):
     monkeypatch.setattr(crosscheck, "_connected_sweep", misfiled)
     message = r"n=6: a realised graph does not have 7 edges and degrees \(5, 3, 2, 2, 1, 1\)"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(6)
+        _swept_classes.__wrapped__(6)
 
 
 def test_labeled_sweep_orbits_cover_each_degree_sequence(monkeypatch):
@@ -494,7 +495,7 @@ def test_labeled_sweep_orbits_cover_each_degree_sequence(monkeypatch):
     monkeypatch.setattr(crosscheck, "_connected_sweep", repeated)
     message = r"n=6: orbit sizes sum to (\d+), the connected sweep holds (?!\1)\d+ graphs"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(6)
+        _swept_classes.__wrapped__(6)
 
 
 def test_labeled_sweep_checks_orbit_size_against_the_stabiliser(monkeypatch):
@@ -506,7 +507,7 @@ def test_labeled_sweep_checks_orbit_size_against_the_stabiliser(monkeypatch):
 
     monkeypatch.setattr(crosscheck, "_young_permutations", not_a_group)
     with pytest.raises(ContractViolationError, match=r"n=5: \d+ distinct images"):
-        labeled_bicyclic_classes.__wrapped__(5)
+        _swept_classes.__wrapped__(5)
 
 
 def test_labeled_sweep_checks_the_mass_against_the_labelled_count(monkeypatch):
@@ -517,14 +518,14 @@ def test_labeled_sweep_checks_the_mass_against_the_labelled_count(monkeypatch):
     lost = real(6)[-1]
     kept = sum(
         size
-        for cert, size in labeled_bicyclic_classes(6)
+        for cert, size in _swept_classes(6)
         if tuple(sorted(from_graph6(cert).degrees(), reverse=True)) != lost
     )
     assert 0 < kept < 5700
     monkeypatch.setattr(crosscheck, "_degree_sequences", lambda n: real(n)[:-1])
     message = f"n=6: labelled orbit sizes sum to {kept}, but 5700 connected labelled graphs"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(6)
+        _swept_classes.__wrapped__(6)
     monkeypatch.undo()
 
     # An off-by-one L(n) fails the full sweep.
@@ -532,7 +533,70 @@ def test_labeled_sweep_checks_the_mass_against_the_labelled_count(monkeypatch):
     monkeypatch.setattr(crosscheck, "_connected_labelled_count", lambda n, k: count(n, k) + 1)
     message = "n=6: labelled orbit sizes sum to 5700, but 5701 connected labelled graphs"
     with pytest.raises(ContractViolationError, match=message):
-        labeled_bicyclic_classes.__wrapped__(6)
+        _swept_classes.__wrapped__(6)
+
+
+def test_labelled_guard_orbit_sizes_match_the_reference_sweep():
+    # Per generated class, the guard's n!/|Aut| is the reference sweep's
+    # orbit size for the class with the same certificate.
+    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
+        graphs = enumerate_bicyclic(n)
+        guard = labeled_bicyclic_classes(n, graphs)
+        assert [graph6 for graph6, _ in guard] == [to_graph6(g) for g in graphs], n
+        sizes = {canonical_certificate(g): size for g, (_, size) in zip(graphs, guard)}
+        assert sizes == dict(_swept_classes(n)), n
+
+
+def test_labelled_guard_checks_the_mass():
+    # A dropped class leaves every orbit disjoint but the mass short.
+    graphs = enumerate_bicyclic(6)
+    lost = dict(_swept_classes(6))[canonical_certificate(graphs[-1])]
+    message = f"n=6: labelled orbit sizes sum to {5700 - lost}, but 5700 connected labelled graphs"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes(6, graphs[:-1])
+
+
+def test_labelled_guard_rejects_a_repeated_class():
+    # A relabelled copy of one class in place of another keeps the class
+    # count (A001429), but its orbit meets the original's.
+    import re
+
+    graphs = enumerate_bicyclic(6)
+    copy = graphs[1].relabel(tuple(reversed(range(6))))
+    assert to_graph6(copy) != to_graph6(graphs[1])
+    message = f"n=6: the orbit of {re.escape(to_graph6(copy))} overlaps an earlier class"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes(6, graphs[:-1] + [copy])
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)], 6),  # K4 plus an edge
+        ([(i, (i + 1) % 6) for i in range(6)], 6),  # C6: six edges
+        ([(i, (i + 1) % 7) for i in range(7)], 7),  # C7: seven vertices
+    ],
+    ids=["disconnected", "edge-count", "vertex-count"],
+)
+def test_labelled_guard_checks_each_graph(edges, n):
+    import re
+
+    bad = Graph.from_edges(n, edges)
+    message = f"n=6: {re.escape(to_graph6(bad))} is not a connected graph with 6 vertices and 7 edges"
+    with pytest.raises(ContractViolationError, match=message):
+        labeled_bicyclic_classes(6, enumerate_bicyclic(6)[:-1] + [bad])
+
+
+def test_labelled_guard_checks_orbit_size_against_the_stabiliser(monkeypatch):
+    real = crosscheck._young_permutations
+
+    def not_a_group(d):
+        perms = real(d)
+        return perms[:-1] + perms[:1]  # the last permutation becomes a second identity
+
+    monkeypatch.setattr(crosscheck, "_young_permutations", not_a_group)
+    with pytest.raises(ContractViolationError, match=r"labelled guard at n=5: \d+ distinct images"):
+        labeled_bicyclic_classes(5, enumerate_bicyclic(5))
 
 
 def test_extract_core_family_shapes():

@@ -161,17 +161,22 @@ def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
 
 
 def test_exhaustiveness_guard_compares_class_lists(monkeypatch):
-    # One class replaced by a copy of another keeps both counts right
-    # (A001429 and the labelled sweep), so only the certificates differ.
+    # One class replaced by a copy of another keeps the A001429 count
+    # right, so only the labelled guard sees it: the copy's orbit meets
+    # the original's.
+    import re
+
     import connsets.verify as verify_mod
     from connsets.enumeration import enumerate_bicyclic as real
+    from connsets.graphs import to_graph6
 
     def duplicated(n, cap=None):
         graphs = real(n)
         return [graphs[1]] + graphs[1:]
 
     monkeypatch.setattr(verify_mod, "enumerate_bicyclic", duplicated)
-    with pytest.raises(ContractViolationError, match="labelled generator at n=6"):
+    message = f"n=6: the orbit of {re.escape(to_graph6(real(6)[1]))} overlaps an earlier class"
+    with pytest.raises(ContractViolationError, match=message):
         verify_mod.verify_minimum(6)
 
 
