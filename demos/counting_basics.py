@@ -25,13 +25,13 @@ print("Counting connected sets")
 print("=" * 64)
 
 # A path on four vertices: 0 - 1 - 2 - 3.
-path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], label="P4")
-print(f"\n{path4.label} ({to_graph6(path4)}):")
+path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+print(f"\nP4 ({to_graph6(path4)}):")
 print("  N =", oracle_count(path4).total, " (paths on n vertices give n(n+1)/2)")
 
 # A five-cycle.
-cycle5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)], label="C5")
-print(f"\n{cycle5.label} ({to_graph6(cycle5)}):")
+cycle5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+print(f"\nC5 ({to_graph6(cycle5)}):")
 print("  N =", oracle_count(cycle5).total, " (cycles give n^2 - n + 1)")
 
 # Rooted counts: how many connected sets pass through a vertex?
@@ -39,7 +39,7 @@ print("\nRooted counts in C4: every vertex lies in",
       oracle_count_rooted(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 0).value,
       "connected sets")
 
-star5 = Graph.from_edges(5, [(0, i) for i in range(1, 5)], label="S5")
+star5 = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
 print("At the centre of S5:", oracle_count_rooted(star5, 0).value,
       "= 2^(n-1), the largest possible in any tree")
 

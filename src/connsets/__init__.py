@@ -30,13 +30,7 @@ from .enumeration import (
     generate_bicyclic,
     pendant_free_core,
 )
-from .errors import (
-    ConnsetsError,
-    ContractViolationError,
-    FormatError,
-    ParameterError,
-    ResourceCapError,
-)
+from .errors import ConnsetsError, ContractViolationError, FormatError, ResourceCapError
 from .families import (
     E_THETA,
     FamilySpec,
@@ -91,7 +85,6 @@ __all__ = [
     "FamilySpec",
     "FormatError",
     "Graph",
-    "ParameterError",
     "ResourceCapError",
     "RootedCount",
     "TransformOutcome",

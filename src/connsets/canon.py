@@ -143,7 +143,10 @@ def canonical_form(g: Graph) -> Graph:
 def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every automorphism of ``g`` as the tuple of vertex images, sorted,
     so the identity comes first: the automorphisms the canonical search
-    meets, closed under composition."""
+    meets, closed under composition.  Meant for small groups, such as the
+    generator's cores (order at most 12): the closure lists the group
+    element by element, and a star on n vertices has (n - 1)! of them.
+    """
     generators = _canonical_perm(g)[1]
     group = frontier = {tuple(range(g.n))}
     while frontier:

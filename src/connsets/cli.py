@@ -17,8 +17,9 @@ Inputs are graph6 strings, edge-list files, or family spec strings such
 as ``L:9`` or ``theta:2,3,4``; exactly one input source per invocation.
 Outputs are deterministic given the seed, so identical invocations yield
 byte-identical files.  Exit codes: 0 success, 1 failed verification,
-2 usage errors, 3 bad parameters or contract violations, 4 size caps,
-5 malformed input.
+2 usage errors, 3 invalid requests (``ContractViolationError``), 4 size
+caps (``ResourceCapError``), 5 malformed input (``FormatError``) or an
+unreadable or unwritable file.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .counting import DEFAULT_ORACLE_CAP, smart_count, smart_count_pair, smart_count_rooted
 from .enumeration import enumerate_bicyclic, extract_core
-from .errors import (
-    ContractViolationError,
-    FormatError,
-    ParameterError,
-    ResourceCapError,
-)
+from .errors import ContractViolationError, FormatError, ResourceCapError
 from .families import build, parse_family_spec
 from .graphs import Graph, from_edge_list, from_graph6, mask_of, to_graph6
 from .canon import canonical_certificate
@@ -99,7 +95,7 @@ def _check_out(out: str | None) -> None:
 
 def _check_cap(cap: int | None) -> None:
     if cap is not None and cap < 1:
-        raise ParameterError(f"--cap must be at least 1, got {cap}")
+        raise ContractViolationError(f"--cap must be at least 1, got {cap}")
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -251,7 +247,7 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n is not None and args.n < 1:
-        raise ParameterError(f"--n must be at least 1, got {args.n}")
+        raise ContractViolationError(f"--n must be at least 1, got {args.n}")
     claims = list(_CLAIM_RUNNERS) if args.claim == "all" else [args.claim]
     reports = []
     for claim in claims:
@@ -352,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParameterError, ContractViolationError) as exc:
+    except ContractViolationError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except FormatError as exc:

@@ -214,22 +214,22 @@ def extract_core(g: Graph) -> tuple[str, tuple[int, ...]]:
 Key = tuple[Graph, tuple[int, ...], tuple[int, ...]]
 
 
-def _core_graphs(n: int) -> Iterator[Graph]:
+def _core_specs(n: int) -> Iterator[FamilySpec]:
     """Every pendant-free bicyclic shape on at most ``n`` vertices."""
     # Two cycles sharing a vertex: p + q - 1 vertices.
     for p in range(3, n):
         for q in range(p, n + 2 - p):
-            yield build(FamilySpec("typeII", (p, q)))
+            yield FamilySpec("typeII", (p, q))
     # Two disjoint cycles joined by a path on r >= 2 vertices.
     for p in range(3, n):
         for q in range(p, n - p + 1):
             for r in range(2, n + 3 - p - q):
-                yield build(FamilySpec("dumbbell", (p, q, r)))
+                yield FamilySpec("dumbbell", (p, q, r))
     # Theta graphs: a + b + c - 4 vertices.
     for a in range(2, n):
         for b in range(max(a, 3), n):
             for c in range(b, n + 5 - a - b):
-                yield build(FamilySpec("theta", (a, b, c)))
+                yield FamilySpec("theta", (a, b, c))
 
 
 @lru_cache(maxsize=None)
@@ -313,20 +313,20 @@ def _rooted_tree_counts(size: int) -> list[int]:
     return t[: size + 1]
 
 
-def _shape_group_order(kind: str, params: tuple[int, ...]) -> int:
+def _shape_group_order(spec: FamilySpec) -> int:
     """Order of the automorphism group of a pendant-free core, from its
     shape parameters alone.
 
-    Types I and II have the two cycle reflections, times a swap of the
-    cycles when p = q; a theta has the swap of its two hubs times every
-    permutation of equal-length paths.
+    Dumbbells and typeII cores have the two cycle reflections, times a
+    swap of the cycles when p = q; a theta has the swap of its two hubs
+    times every permutation of equal-length paths.
     """
-    if kind == "III":
+    if spec.kind == "theta":
         order = 2
-        for length in set(params):
-            order *= math.factorial(params.count(length))
+        for length in set(spec.params):
+            order *= math.factorial(spec.params.count(length))
         return order
-    p, q = params[:2]
+    p, q = spec.params[:2]
     return 8 if p == q else 4
 
 
@@ -361,17 +361,20 @@ def _burnside_sum(automorphisms: tuple[tuple[int, ...], ...], extra: int) -> int
     return total
 
 
-def _check_group(n: int, core: Graph, automorphisms: tuple[tuple[int, ...], ...]) -> None:
-    """The listed automorphisms must be the core's whole group: distinct
-    automorphisms, as many as the closed form for its shape gives."""
-    order = _shape_group_order(*_classify_core(core))
+def _check_group(
+    n: int, spec: FamilySpec, core: Graph, automorphisms: tuple[tuple[int, ...], ...]
+) -> None:
+    """The listed automorphisms must be the whole group of ``core``, the
+    graph of ``spec``: distinct automorphisms, as many as the closed form
+    for its shape gives."""
+    order = _shape_group_order(spec)
     if (
         len(automorphisms) != order
         or len(set(automorphisms)) != order
         or any(core.relabel(sigma) != core for sigma in automorphisms)
     ):
         raise ContractViolationError(
-            f"n={n}: the automorphisms listed for core {core.label} are not "
+            f"n={n}: the automorphisms listed for core {spec} are not "
             f"its whole group of order {order} ({len(automorphisms)} listed)"
         )
 
@@ -384,15 +387,16 @@ def _guarded_stream(n: int) -> Iterator[Key]:
     kept count is at least the orbit count, with equality exactly when
     each class is kept once.
     """
-    for core in _core_graphs(n):
+    for spec in _core_specs(n):
+        core = build(spec)
         extra = n - core.n
         automorphisms = automorphism_group(core)
-        _check_group(n, core, automorphisms)
+        _check_group(n, spec, core, automorphisms)
         kept = list(_with_attachments(core, extra, automorphisms))
         fixed = _burnside_sum(automorphisms, extra)
         if len(kept) * len(automorphisms) != fixed:
             raise ContractViolationError(
-                f"n={n}: core {core.label} kept {len(kept)} attachment choices, "
+                f"n={n}: core {spec} kept {len(kept)} attachment choices, "
                 f"Burnside counts {fixed}/{len(automorphisms)} orbits"
             )
         yield from kept

@@ -2,7 +2,8 @@
 
 Every error carries a human-readable message naming the violated rule so
 that callers (and the command line front end) can report precisely what
-went wrong.
+went wrong.  The command line maps each class to one exit code:
+``ContractViolationError`` 3, ``ResourceCapError`` 4, ``FormatError`` 5.
 """
 
 
@@ -11,11 +12,8 @@ class ConnsetsError(Exception):
 
 
 class ContractViolationError(ConnsetsError):
-    """An operation was called with arguments outside its contract."""
-
-
-class ParameterError(ConnsetsError):
-    """A family or transform parameter violates its documented bound."""
+    """An invalid request: arguments outside an operation's contract, or a
+    family or surgery parameter outside its documented bound."""
 
 
 class ResourceCapError(ConnsetsError):

@@ -7,8 +7,8 @@ kind is one row of :data:`KINDS`: its parameter names with their smallest
 values, its builder and, where one exists, its closed-form count.  The
 row is all that validation, :func:`build` and :func:`closed_form` read;
 only theta's ordering ``a <= b <= c`` is checked outside it.  The named
-small theta graphs (``A4``, ``E51``, ... ``E8``) take no parameters and
-are frozen edge lists with reference counts instead.
+small theta graphs (``A4``, ``E51``, ... ``E8``) take no parameters; each
+is one row of ``_NAMED``, a frozen edge list with its reference counts.
 
 Construction uses a fixed vertex numbering per family (hubs first, then
 cycle and path interiors in order) so that builds are byte-for-byte
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import FormatError, ParameterError
+from .errors import ContractViolationError, FormatError
 from .graphs import Graph
 
 Edges = list[tuple[int, int]]
@@ -144,30 +144,32 @@ KINDS: dict[str, Kind] = {
     "Q": Kind(("n",), (3,), _q_family),
 }
 
-# Named small theta graphs, frozen as explicit edge lists so that their
-# isomorphism to the corresponding theta specs is a real check.
-_E_EDGES: dict[str, tuple[int, Edges]] = {
-    "A4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
-    "E51": (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),
-    "E52": (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)]),
-    "E61": (6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 3)]),
-    "E62": (6, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (3, 5)]),
-    "E7": (7, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 6), (6, 3)]),
-    "E8": (8, [(0, 1), (0, 4), (0, 6), (1, 2), (2, 3), (3, 5), (3, 7), (4, 5), (6, 7)]),
+
+class Named(NamedTuple):
+    """One named small theta graph, in the order of :func:`e_graph_reference`."""
+
+    theta: tuple[int, int, int]  # the theta parameters it realises
+    total: int  # reference count of connected sets
+    rooted_bound: int  # reference bound on the rooted count at any vertex
+    edges: Edges  # kept apart from ``_theta``, so matching the theta is a real check
+
+
+_NAMED: dict[str, Named] = {
+    "A4": Named((2, 3, 3), 14, 8, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
+    "E52": Named((3, 3, 3), 26, 15, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)]),
+    "E51": Named((2, 3, 4), 24, 14, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),
+    "E62": Named((3, 3, 4), 42, 25, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (3, 5)]),
+    "E61": Named((2, 4, 4), 40, 25, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 3)]),
+    "E7": Named(
+        (3, 4, 4), 66, 41, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5), (4, 5), (0, 6), (6, 3)]
+    ),
+    "E8": Named(
+        (4, 4, 4), 100, 64, [(0, 1), (0, 4), (0, 6), (1, 2), (2, 3), (3, 5), (3, 7), (4, 5), (6, 7)]
+    ),
 }
 
-E_NAMES = tuple(_E_EDGES)
-
-# The theta parameters each named graph realises.
-E_THETA: dict[str, tuple[int, int, int]] = {
-    "A4": (2, 3, 3),
-    "E51": (2, 3, 4),
-    "E52": (3, 3, 3),
-    "E61": (2, 4, 4),
-    "E62": (3, 3, 4),
-    "E7": (3, 4, 4),
-    "E8": (4, 4, 4),
-}
+E_NAMES = tuple(_NAMED)
+E_THETA = {name: row.theta for name, row in _NAMED.items()}
 
 # Spec names accepted case-insensitively, with their short forms.
 _ALIASES = {kind.lower(): kind for kind in KINDS} | {
@@ -181,7 +183,7 @@ _ALIASES = {kind.lower(): kind for kind in KINDS} | {
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise ParameterError(message)
+        raise ContractViolationError(message)
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ class FamilySpec:
             _require(not self.params, f"{self.kind} takes no parameters")
             return
         if self.kind not in KINDS:
-            raise ParameterError(f"unknown family kind {self.kind!r}")
+            raise ContractViolationError(f"unknown family kind {self.kind!r}")
         row = KINDS[self.kind]
         _require(
             len(self.params) == len(row.params),
@@ -247,10 +249,11 @@ def parse_family_spec(text: str) -> FamilySpec:
 def build(spec: FamilySpec) -> Graph:
     """Construct the concrete graph of a family instance."""
     if spec.kind in E_NAMES:
-        n, edges = _E_EDGES[spec.kind]
+        row = _NAMED[spec.kind]
+        n, edges = sum(row.theta) - 4, row.edges
     else:
         n, edges = KINDS[spec.kind].build(*spec.params)
-    return Graph.from_edges(n, edges, str(spec))
+    return Graph.from_edges(n, edges)
 
 
 def closed_form(spec: FamilySpec) -> int | None:
@@ -260,7 +263,7 @@ def closed_form(spec: FamilySpec) -> int | None:
     counted through the counting module instead.
     """
     if spec.kind in E_NAMES:
-        return dict(e_graph_reference())[spec.kind][0]
+        return _NAMED[spec.kind].total
     count = KINDS[spec.kind].count
     return None if count is None else count(*spec.params)
 
@@ -270,12 +273,4 @@ def e_graph_reference() -> list[tuple[str, tuple[int, int]]]:
 
     Rows are ``(name, (total, max over v of the rooted count))``.
     """
-    return [
-        ("A4", (14, 8)),
-        ("E52", (26, 15)),
-        ("E51", (24, 14)),
-        ("E62", (42, 25)),
-        ("E61", (40, 25)),
-        ("E7", (66, 41)),
-        ("E8", (100, 64)),
-    ]
+    return [(name, (row.total, row.rooted_bound)) for name, row in _NAMED.items()]

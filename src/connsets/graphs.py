@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import base64
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ContractViolationError, FormatError
@@ -55,7 +55,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.n <= MAX_VERTICES:
@@ -82,9 +81,7 @@ class Graph:
                     )
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], label: str | None = None
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -95,7 +92,7 @@ class Graph:
                 )
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj), label)
+        return cls(n, tuple(adj))
 
     @property
     def vertex_mask(self) -> int:
@@ -138,8 +135,7 @@ class Graph:
         return Graph(self.n, tuple(adj))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = f" {self.label!r}" if self.label else ""
-        return f"Graph(n={self.n}, e={self.edge_count}{name})"
+        return f"Graph(n={self.n}, e={self.edge_count})"
 
 
 def _check_subset(g: Graph, s: int, what: str = "vertex set") -> None:
@@ -345,6 +341,7 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
+    """Parse the plain text format; an edge given twice is malformed."""
     rows = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not rows:
         raise FormatError("empty edge list")
@@ -357,16 +354,20 @@ def from_edge_list(text: str) -> Graph:
         raise FormatError(f"bad edge list header {rows[0]!r}") from exc
     if len(rows) - 1 != m:
         raise FormatError(f"header declares {m} edges, found {len(rows) - 1}")
-    edges = []
+    edges: dict[tuple[int, int], tuple[int, int]] = {}  # each line by its sorted ends
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise FormatError(f"bad edge line {ln!r}") from exc
+        ends = (min(u, v), max(u, v))
+        if ends in edges:
+            raise FormatError(f"repeated edge line {ln!r}")
+        edges[ends] = (u, v)
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, edges.values())
     except ContractViolationError as exc:
         raise FormatError(str(exc)) from exc

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .canon import canonical_certificate
 from .counting import smart_count_pair, smart_count_rooted
 from .enumeration import extract_core, pendant_free_core
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError
 from .families import E_NAMES, KINDS, FamilySpec, build
 from .graphs import Graph, bits, is_connected, pendant_vertices
 
@@ -63,7 +63,7 @@ def _check_hanging_cycle(g: Graph, cycle: int, anchor: int, min_size: int) -> in
     if not cycle >> anchor & 1:
         raise ContractViolationError("anchor must lie on the designated cycle")
     if q < min_size:
-        raise ParameterError(f"cycle must have at least {min_size} vertices, got {q}")
+        raise ContractViolationError(f"cycle must have at least {min_size} vertices, got {q}")
     for v in bits(cycle):
         if (g.adj[v] & cycle).bit_count() != 2:
             raise ContractViolationError(
@@ -156,7 +156,7 @@ def part_to_q(g: Graph, keep_cycle: int, anchor: int) -> TransformOutcome:
     part = g.vertex_mask & ~keep_cycle | 1 << anchor
     m = part.bit_count()
     if m < 5:
-        raise ParameterError(
+        raise ContractViolationError(
             f"the replaced part must have at least 5 vertices, got {m}"
         )
     hanging = sorted(bits(part & ~(1 << anchor)))

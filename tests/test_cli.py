@@ -522,6 +522,37 @@ def test_exit_codes(tmp_path, capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("family Q:2", "Q needs n >= 3, got n=2"),
+        ("family theta:3,2,2", "theta needs 2 <= a <= b <= c, got (3, 2, 2)"),
+        ("family theta:2,3", "theta takes 3 parameter(s), got 2"),
+        ("count --family cycle:3 --cap 0", "--cap must be at least 1, got 0"),
+        ("verify min --n 0", "--n must be at least 1, got 0"),
+        (
+            "transform cycle-to-tadpole --family cycle:3 --cycle 0,1,2 --anchor 0",
+            "cycle must have at least 4 vertices, got 3",
+        ),
+        (
+            "transform part-to-q --family typeII:3,3 --cycle 0,1,2 --anchor 0",
+            "the replaced part must have at least 5 vertices, got 3",
+        ),
+    ],
+)
+def test_parameter_bounds_are_invalid_requests(capsys, argv, message):
+    # Each bound on a family, surgery or flag parameter exits 3 with one
+    # stderr line and nothing on stdout.
+    assert run(capsys, *argv.split()) == (3, "", f"invalid request: {message}\n")
+
+
+def test_repeated_edge_in_a_file_is_malformed(tmp_path, capsys):
+    edge_file = tmp_path / "twice.txt"
+    edge_file.write_text("2 2\n0 1\n1 0\n")
+    code, out, err = run(capsys, "count", "--file", str(edge_file))
+    assert (code, out) == (5, "") and "repeated edge line '1 0'" in err
+
+
 def test_failed_verify_exits_1_and_names_the_claim(capsys, monkeypatch):
     # The runner-up lowered by one, as in the report-level test.
     import connsets.cli as cli

@@ -26,7 +26,7 @@ from connsets import enumeration
 from connsets.enumeration import (
     _burnside_sum,
     _classify_core,
-    _core_graphs,
+    _core_specs,
     _rooted_tree_counts,
     _rooted_trees,
     _shape_group_order,
@@ -39,7 +39,7 @@ from connsets.enumeration import (
     pendant_free_core,
     rooted_tree_level_sequences,
 )
-from connsets.families import FamilySpec, build, parse_family_spec
+from connsets.families import FamilySpec, build
 from connsets.graphs import subgraph, to_graph6
 
 # Class counts established by the agreement of the two independent
@@ -113,14 +113,15 @@ def test_core_automorphisms_match_brute_force():
     import itertools
 
     orders = {}
-    for core in _core_graphs(7):
+    for spec in _core_specs(7):
+        core = build(spec)
         brute = tuple(
             sorted(
                 p for p in itertools.permutations(range(core.n)) if core.relabel(p) == core
             )
         )
-        assert automorphism_group(core) == brute, core.label
-        orders[core.label] = len(brute)
+        assert automorphism_group(core) == brute, spec
+        orders[str(spec)] = len(brute)
     assert orders["theta:3,3,3"] == 12
     assert orders["typeII:3,3"] == 8
     assert orders["dumbbell:3,3,2"] == 8
@@ -133,7 +134,7 @@ def test_attachments_generate_each_class_once():
     for n, expected in BICYCLIC_CLASSES.items():
         raw = sum(
             sum(1 for _ in _with_attachments(core, n - core.n, automorphism_group(core)))
-            for core in _core_graphs(n)
+            for core in map(build, _core_specs(n))
         )
         assert raw == expected, n
 
@@ -179,37 +180,39 @@ def test_tree_table_counts_every_rooted_shape():
 
 
 def test_closed_form_group_order_matches_the_search():
-    for core in _core_graphs(14):
-        order = _shape_group_order(*_classify_core(core))
-        assert order == len(automorphism_group(core)), core.label
+    for spec in _core_specs(14):
+        assert _shape_group_order(spec) == len(automorphism_group(build(spec))), spec
 
 
 def test_burnside_counts_the_kept_attachments():
     for n in range(4, 11):
-        for core in _core_graphs(n):
+        for spec in _core_specs(n):
+            core = build(spec)
             group = automorphism_group(core)
             kept = sum(1 for _ in _with_attachments(core, n - core.n, group))
-            assert _burnside_sum(group, n - core.n) == kept * len(group), (n, core.label)
+            assert _burnside_sum(group, n - core.n) == kept * len(group), (n, spec)
 
 
 def test_burnside_reproduces_a001429():
     a001429 = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908}
     for n, expected in a001429.items():
         total = 0
-        for core in _core_graphs(n):
+        for spec in _core_specs(n):
+            core = build(spec)
             group = automorphism_group(core)
             orbits, rest = divmod(_burnside_sum(group, n - core.n), len(group))
-            assert rest == 0, (n, core.label)
+            assert rest == 0, (n, spec)
             total += orbits
         assert total == expected, n
 
 
 def test_group_guard_catches_a_missing_automorphism(monkeypatch):
     real = enumeration.automorphism_group
+    bowtie = build(FamilySpec("typeII", (3, 3)))
 
     def one_short(core):
         group = real(core)
-        return group[:-1] if core.label == "typeII:3,3" else group
+        return group[:-1] if core == bowtie else group
 
     monkeypatch.setattr(enumeration, "automorphism_group", one_short)
     with pytest.raises(
@@ -233,10 +236,11 @@ def test_burnside_guard_catches_a_class_kept_twice(monkeypatch):
     import connsets.verify as verify_mod
 
     real = enumeration._with_attachments
+    dumbbell = build(FamilySpec("dumbbell", (3, 4, 2)))
 
     def repeat_first(core, extra, automorphisms):
         graphs = list(real(core, extra, automorphisms))
-        return graphs[:1] + graphs if core.label == "dumbbell:3,4,2" else graphs
+        return graphs[:1] + graphs if core == dumbbell else graphs
 
     monkeypatch.setattr(enumeration, "_with_attachments", repeat_first)
     with pytest.raises(ContractViolationError, match="n=9: core dumbbell:3,4,2 kept"):
@@ -615,14 +619,13 @@ def test_extract_core_family_shapes():
 
 
 def test_classify_core_on_every_built_shape():
-    # Each core shape carries its family spec as label; the classifier
-    # must read the same kind and parameters back off the bare graph.
+    # The classifier must read each core shape's kind and parameters back
+    # off the bare graph its spec builds.
     kinds = {"dumbbell": "I", "typeII": "II", "theta": "III"}
-    shapes = list(_core_graphs(14))
+    shapes = list(_core_specs(14))
     assert len(shapes) == 214
-    for core in shapes:
-        spec = parse_family_spec(core.label)
-        assert _classify_core(core) == (kinds[spec.kind], spec.params), core.label
+    for spec in shapes:
+        assert _classify_core(build(spec)) == (kinds[spec.kind], spec.params), spec
 
 
 @st.composite

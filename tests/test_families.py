@@ -6,9 +6,9 @@ import itertools
 import pytest
 
 from connsets import (
+    ContractViolationError,
     FormatError,
     Graph,
-    ParameterError,
     is_isomorphic,
     oracle_count,
     oracle_count_rooted,
@@ -77,11 +77,11 @@ def test_parameter_bounds_are_enforced():
         ("path", (0,)),
     ]
     for kind, params in bad:
-        with pytest.raises(ParameterError):
+        with pytest.raises(ContractViolationError):
             FamilySpec(kind, params)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ContractViolationError):
         FamilySpec("L", (5, 6))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ContractViolationError):
         FamilySpec("nosuch", (1,))
 
 
@@ -178,7 +178,7 @@ def test_parse_errors_name_the_problem():
         parse_family_spec("L")
     with pytest.raises(FormatError):
         parse_family_spec("")
-    with pytest.raises(ParameterError, match="needs n >= 5"):
+    with pytest.raises(ContractViolationError, match="needs n >= 5"):
         parse_family_spec("L:4")
 
 
@@ -203,7 +203,7 @@ def _build_pin_lines():
     for kind, params in specs:
         try:
             spec = FamilySpec(kind, params)
-        except ParameterError:
+        except ContractViolationError:
             yield f"{kind}{params} rejected"
             continue
         yield f"{spec} {to_graph6(build(spec))} {closed_form(spec)}"

@@ -43,12 +43,6 @@ def test_construction_validates_simplicity():
         Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1))
 
 
-def test_label_does_not_affect_equality():
-    g = Graph.from_edges(3, [(0, 1)], label="one")
-    h = Graph.from_edges(3, [(0, 1)], label="two")
-    assert g == h and hash(g) == hash(h)
-
-
 def test_induced_is_connected():
     c4 = cycle_graph(4)
     assert not induced_is_connected(c4, mask_of([0, 2]))
@@ -246,3 +240,10 @@ def test_edge_list_round_trip():
         from_edge_list("oops\n")
     with pytest.raises(FormatError):
         from_edge_list("2 1\n0 0\n")
+
+
+def test_edge_list_rejects_a_repeated_edge():
+    # Read as one edge, a repeat would leave the header's count behind.
+    for text, line in (("2 2\n0 1\n1 0\n", "'1 0'"), ("3 3\n0 1\n1 2\n1 2\n", "'1 2'")):
+        with pytest.raises(FormatError, match=f"repeated edge line {line}"):
+            from_edge_list(text)

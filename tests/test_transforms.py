@@ -8,7 +8,6 @@ import pytest
 from connsets import (
     ContractViolationError,
     Graph,
-    ParameterError,
     is_isomorphic,
     mask_of,
     oracle_count,
@@ -64,7 +63,7 @@ def test_cycle_to_tadpole_reaches_the_minimiser():
 
 def test_cycle_to_tadpole_rejects_bad_sites():
     bowtie = build(FamilySpec("typeII", (3, 3)))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ContractViolationError):
         cycle_to_tadpole(bowtie, mask_of([0, 1, 2]), 0)
     g = build(FamilySpec("typeII", (3, 4)))
     with pytest.raises(ContractViolationError):
@@ -148,7 +147,7 @@ def test_part_to_q_on_disjoint_cycles():
 
 
 def test_part_to_q_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ContractViolationError):
         part_to_q(build(FamilySpec("typeII", (3, 4))), mask_of([0, 1, 2]), 0)
     with pytest.raises(ContractViolationError):
         part_to_q(build(FamilySpec("B", (8,))), mask_of([0, 1, 2]), 0)
