@@ -17,8 +17,9 @@ graphs with n vertices and n + 1 edges, comes from an inclusion-exclusion
 recurrence over the component of vertex 0 (Wright, 1977, gives the same
 numbers in closed form).
 
-**The guard** (:func:`labeled_bicyclic_classes`), which ``verify`` runs
-on the generated classes at every n <= ``MAX_CROSSCHECK_N``.  It relabels
+**The guard** (:func:`labeled_bicyclic_classes`), which the generator's
+stream (:mod:`connsets.enumeration`) runs on its own classes at every
+n <= ``MAX_CROSSCHECK_N``.  It relabels
 each graph degree-sorted, forms its S_d orbit and checks that
 
 * the graph has n vertices, n + 1 edges and is connected;

@@ -18,16 +18,16 @@ pass on the core, each core vertex weighted by its tree's rooted count.
 and streams those, in the same order, with no certificate built.
 ``enumerate_bicyclic`` canonicalises every graph, sorts by certificate
 and treats a repeated certificate as a contract violation, a check
-independent of the guards below.  All routes pass every core through
-two guards that use no certificate.  The group guard: the automorphisms
-the search lists for the core are distinct, map the core onto itself,
-and number the closed-form order of its shape's group.  The Burnside
-guard: the number of forests kept equals the number of orbits
-Burnside's lemma gives from rooted-tree counts (OEIS A000081, by
-Otter's recurrence).  Labelled-graph checks that share no code with it
-(see :mod:`connsets.crosscheck`) validate the pipeline for small n: the
-orbit-mass guard that ``verify`` runs, and a labelled generator that the
-tests compare the class lists with.
+independent of the guards below.  All routes read one stream, whose
+guards use no certificate.  Each core passes two before its keys are
+yielded.  The group guard: the automorphisms the search lists for the
+core are distinct, map the core onto itself, and number the closed-form
+order of its shape's group.  The Burnside guard: the number of forests
+kept equals the number of orbits Burnside's lemma gives from rooted-tree
+counts (OEIS A000081, by Otter's recurrence).  The stream ends with the
+corpus checks: the class count of OEIS A001429 and, up to
+``LABELLED_GUARD_N``, the orbit-mass guard of :mod:`connsets.crosscheck`,
+which shares no code with the generator.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ from .graphs import (
 
 DEFAULT_BICYCLIC_CAP = 11
 DEFAULT_TREE_CAP = 10
+
+# Largest order where the stream ends with the labelled guard
+# (crosscheck.labeled_bicyclic_classes): crosscheck.MAX_CROSSCHECK_N, named
+# here so that runs above it never import the guard.
+LABELLED_GUARD_N = 8
+
+# Unlabelled connected bicyclic graphs per order (OEIS A001429).
+_BICYCLIC_CLASSES = {
+    4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +390,21 @@ def _check_group(
 
 
 def _guarded_stream(n: int) -> Iterator[Key]:
-    """Each core's kept keys, yielded once its two guards pass.
+    """Each core's kept keys, yielded once its two guards pass, then the
+    corpus checks.
 
     The group guard checks the canonical search's group against the
     closed-form order.  Every orbit keeps at least its least key, so the
     kept count is at least the orbit count, with equality exactly when
-    each class is kept once.
+    each class is kept once.  After the last core the corpus must be
+    nonempty and match ``_BICYCLIC_CLASSES``; up to ``LABELLED_GUARD_N``
+    its graphs must pass ``crosscheck.labeled_bicyclic_classes``, one
+    graph per class.  So a consumer that reads the stream to its end gets
+    a proven corpus or a contract violation.
     """
+    labelled = n <= LABELLED_GUARD_N
+    classes = 0
+    keys: list[Key] = []  # kept only for the labelled guard
     for spec in _core_specs(n):
         core = build(spec)
         extra = n - core.n
@@ -399,7 +417,23 @@ def _guarded_stream(n: int) -> Iterator[Key]:
                 f"n={n}: core {spec} kept {len(kept)} attachment choices, "
                 f"Burnside counts {fixed}/{len(automorphisms)} orbits"
             )
+        classes += len(kept)
+        if labelled:
+            keys += kept
         yield from kept
+    if not classes:
+        raise ContractViolationError(f"enumeration produced no graphs at n={n}")
+    if n in _BICYCLIC_CLASSES and classes != _BICYCLIC_CLASSES[n]:
+        raise ContractViolationError(
+            f"enumeration produced {classes} classes at n={n}, "
+            f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
+        )
+    if labelled:
+        # Imported here so that larger orders and `import connsets.cli`
+        # never load the guard.
+        from .crosscheck import labeled_bicyclic_classes
+
+        labeled_bicyclic_classes(n, [graph_from_key(key) for key in keys])
 
 
 def _check_order(n: int, cap: int | None) -> None:
@@ -422,8 +456,10 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     graphs, in generation order, with no certificate built.
 
     The order is checked at the call; each core's representatives are
-    yielded only after its group and Burnside guards pass.  ``cap``
-    (default ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
+    yielded only after its group and Burnside guards pass, and the stream
+    ends with the corpus checks (the A001429 class count, and up to
+    ``LABELLED_GUARD_N`` the labelled guard).  ``cap`` (default
+    ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
     """
     _check_order(n, cap)
     return map(graph_from_key, _guarded_stream(n))
@@ -461,8 +497,8 @@ def generate_counted_keys(n: int, cap: int | None = None) -> Iterator[tuple[Key,
     same order, with no class's graph built: :func:`graph_from_key` gives
     the graph, and ``count`` is its number of connected sets.
 
-    The keys come from the same guarded stream, and the order is checked
-    at the call.  ``blocks`` runs once per core.
+    The order is checked at the call, and the keys pass every check of
+    ``generate_bicyclic``'s stream.  ``blocks`` runs once per core.
     """
     _check_order(n, cap)
     return _counted(n)
@@ -476,8 +512,9 @@ def _counted(n: int) -> Iterator[tuple[Key, int]]:
 
 
 def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
-    """The classes of ``generate_bicyclic`` in certificate order; a
-    repeated certificate is a contract violation."""
+    """The classes of ``generate_bicyclic`` in certificate order, after
+    every check of its stream; a repeated certificate is a contract
+    violation too."""
     classes: dict[str, Graph] = {}
     for g in generate_bicyclic(n, cap):
         cert = canonical_certificate(g)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ContractViolationError, FormatError
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 Edges = list[tuple[int, int]]
 
@@ -209,6 +209,11 @@ class FamilySpec:
             _require(2 <= a <= b <= c, f"theta needs 2 <= a <= b <= c, got {self.params}")
         for name, low, value in zip(row.params, row.lows, self.params):
             _require(value >= low, f"{self.kind} needs {name} >= {low}, got {name}={value}")
+            # No parameter exceeds its graph's order: refused before any edge.
+            _require(
+                value <= MAX_VERTICES,
+                f"{self.kind} needs {name} in {low}..{MAX_VERTICES}, got {name}={value}",
+            )
 
     def __str__(self) -> str:
         if not self.params:

@@ -45,6 +45,11 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _check_order(n: int) -> None:
+    if not 0 < n <= MAX_VERTICES:
+        raise ContractViolationError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph with bitmask adjacency.
@@ -57,10 +62,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 < self.n <= MAX_VERTICES:
-            raise ContractViolationError(
-                f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}"
-            )
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ContractViolationError(
                 f"adjacency has {len(self.adj)} rows for {self.n} vertices"
@@ -82,6 +84,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)  # before any row is built
         adj = [0] * n
         for u, v in edges:
             if u == v:

@@ -1,18 +1,17 @@
 """Replay of the extremal claims over exhaustive small-order corpora.
 
 Each sweep enumerates every relevant graph, evaluates exact counts, and
-compares against the closed forms.  The minimum and maximum sweeps count
-with the block pass and have the oracle recount the classes their
-verdicts read: up to ``LABELLED_GUARD_N`` every class, each a graph
-counted by ``smart_count``; above it, each class is counted from its
-attachment key (``generate_counted_keys``), and a graph is built only
-for the classes a verdict reads.  Up to ``LABELLED_GUARD_N`` the corpus
-must also pass the labelled guard of :mod:`connsets.crosscheck`: pairwise
-disjoint Young-subgroup orbits whose labelled sizes sum to the number of
-connected labelled graphs, so one graph per class and no class missing.
-All pass/fail decisions are integer-exact; nothing passes on approximate
-equality.  Reports are plain data, deterministic for a given (claim, n,
-seed), and serialise to JSON and a one-line CSV summary.
+compares against the closed forms.  The bicyclic corpora come from the
+generators of :mod:`connsets.enumeration`, which prove each one
+exhaustive before it ends; nothing here guards them again.  The minimum
+and maximum sweeps count with the block pass and have the oracle recount
+the classes their verdicts read: up to ``LABELLED_GUARD_N`` every class,
+each a graph counted by ``smart_count``; above it, each class is counted
+from its attachment key (``generate_counted_keys``), and a graph is
+built only for the classes a verdict reads.  All pass/fail decisions
+are integer-exact; nothing passes on approximate equality.  Reports are
+plain data, deterministic for a given (claim, n, seed), and serialise to
+JSON and a one-line CSV summary.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .counting import (
     tree_rooted_count,
 )
 from .enumeration import (
+    LABELLED_GUARD_N,
     enumerate_bicyclic,
     enumerate_trees,
     generate_bicyclic,
@@ -48,12 +48,6 @@ from .transforms import annotate_family, branch_shift, glue_at
 PASS = "pass"
 FAIL = "fail"
 INFORMATIONAL = "informational"
-
-# Largest order where the labelled guard (the orbit-mass check of
-# crosscheck.labeled_bicyclic_classes) runs and the oracle recounts every
-# class: crosscheck.MAX_CROSSCHECK_N, named here so that runs above it never
-# import the guard.
-LABELLED_GUARD_N = 8
 
 
 @dataclass(frozen=True)
@@ -138,75 +132,29 @@ def _total(g: Graph) -> int:
     return oracle_count(g).total
 
 
-# Unlabelled connected bicyclic graphs per order (OEIS A001429).
-_BICYCLIC_CLASSES = {
-    4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833, 12: 28908,
-}
-
-
-def _check_class_count(n: int, classes: int) -> None:
-    """The corpus must be nonempty and match OEIS A001429 at every
-    tabulated order."""
-    if not classes:
-        raise ContractViolationError(f"enumeration produced no graphs at n={n}")
-    if n in _BICYCLIC_CLASSES and classes != _BICYCLIC_CLASSES[n]:
-        raise ContractViolationError(
-            f"enumeration produced {classes} classes at n={n}, "
-            f"OEIS A001429 has {_BICYCLIC_CLASSES[n]}"
-        )
-
-
-def _guarded_enumeration(n: int, cap: int | None) -> list[Graph]:
-    """Enumerate with the exhaustiveness guards.
-
-    At every order the generator checks each core: its listed
-    automorphisms must form the whole group (order from the closed form
-    of the shape), and the forests it keeps must number the orbits that
-    Burnside's lemma counts.  Here the corpus must also pass
-    :func:`_check_class_count`.  Up to ``LABELLED_GUARD_N`` the classes
-    come in certificate order and must pass the labelled guard
-    (``crosscheck.labeled_bicyclic_classes``), which shares no code with
-    the generator: each class is connected with n + 1 edges, their
-    Young-subgroup orbits are pairwise disjoint, and their labelled orbit
-    sizes n!/|Aut G| sum to L(n), so the list holds one graph per class.
-    Above that they come in generation order and no certificate is built.
-    The minimum and maximum sweeps above ``LABELLED_GUARD_N`` take the same
-    guarded stream as keys instead (:func:`_checked_counts`).
-    """
-    guarded = n <= LABELLED_GUARD_N
-    graphs = enumerate_bicyclic(n, cap) if guarded else list(generate_bicyclic(n, cap))
-    _check_class_count(n, len(graphs))
-    if guarded:
-        # Imported here so that unguarded runs and `import connsets.cli`
-        # never load the guard.
-        from .crosscheck import labeled_bicyclic_classes
-
-        labeled_bicyclic_classes(n, graphs)
-    return graphs
-
-
 def _checked_counts(n: int, cap: int | None) -> tuple[list[int], Callable[[int], Graph]]:
     """Counts of the guarded corpus, cross-checked by the oracle, and
     the class at each index as a ``Graph``.
 
-    Up to ``LABELLED_GUARD_N`` the corpus is :func:`_guarded_enumeration`'s,
-    each graph counted by the block pass (``smart_count``), and the oracle
-    recounts every class.  Above that it is ``generate_counted_keys``:
-    each class is counted from its attachment key by the block pass on
-    its core, the number of keys passes :func:`_check_class_count`, and a
-    graph is built from a key only when asked for.  The oracle recounts
-    the classes at the least count and at the two largest, the only ones
-    a verdict of the minimum or maximum sweep reads.  A disagreement is a
-    contract violation naming the class.
+    The generator guards the corpus on every route.  Up to
+    ``LABELLED_GUARD_N`` each graph is counted by the block pass
+    (``smart_count``), and the oracle recounts every class.  Above that
+    the corpus is ``generate_counted_keys``: each class is counted from
+    its attachment key by the block pass on its core, and a graph is
+    built from a key only when asked for.  The oracle recounts the classes
+    at the least count and at the two largest, the only ones a verdict of
+    the minimum or maximum sweep reads.  A disagreement is a contract
+    violation naming the class.
     """
     if n <= LABELLED_GUARD_N:
-        graphs = _guarded_enumeration(n, cap)
+        # enumerate_bicyclic, not the stream, only because
+        # perfbench/selftest.py reads enumeration.classes from its trace.
+        graphs = enumerate_bicyclic(n, cap)
         counts = [smart_count(g).total for g in graphs]
         graph = graphs.__getitem__
         read = set(counts)
     else:
         keyed = list(generate_counted_keys(n, cap))
-        _check_class_count(n, len(keyed))
         counts = [count for _, count in keyed]
 
         def graph(i: int) -> Graph:
@@ -311,8 +259,9 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
 
 def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
     """Every vertex of every n-vertex bicyclic graph lies in at least
-    n + 3 connected sets; equality cases are recorded."""
-    graphs = _guarded_enumeration(n, cap)
+    n + 3 connected sets; equality cases are recorded, in certificate
+    order."""
+    graphs = list(generate_bicyclic(n, cap))
     bound = n + 3
     worst = None
     equality: list[tuple[Graph, int]] = []

@@ -1,4 +1,5 @@
-"""Shared builders and the independent counting oracle for the tests.
+"""Shared builders, the independent counting oracle, and two patches that
+break the bicyclic generator, for the tests.
 
 ``naive_count`` deliberately avoids the package's bitmask machinery: it
 walks subsets with itertools and checks connectivity with a dictionary
@@ -23,6 +24,33 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def drop_last_core(monkeypatch) -> None:
+    """Make the generator skip its last core shape at every order."""
+    from connsets import enumeration
+
+    real = enumeration._core_specs
+    monkeypatch.setattr(enumeration, "_core_specs", lambda n: list(real(n))[:-1])
+
+
+def repeat_one_key(monkeypatch) -> list:
+    """Make the generator yield, in the first core with two keys, the first
+    key twice in place of the second; the returned list then holds it."""
+    from connsets import enumeration
+
+    real = enumeration._with_attachments
+    repeated: list = []
+
+    def one_key_twice(core, extra, automorphisms):
+        keys = list(real(core, extra, automorphisms))
+        if len(keys) > 1 and not repeated:
+            keys[1] = keys[0]
+            repeated.append(keys[0])
+        return keys
+
+    monkeypatch.setattr(enumeration, "_with_attachments", one_key_twice)
+    return repeated
 
 
 def naive_adjacency(g: Graph) -> dict[int, list[int]]:

@@ -15,6 +15,8 @@ from connsets.counting import oracle_count, oracle_count_pair, oracle_count_root
 from connsets.families import KINDS, build, closed_form, parse_family_spec
 from connsets.graphs import MAX_VERTICES, Graph, from_graph6, mask_of, to_graph6
 
+from conftest import drop_last_core
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -233,6 +235,14 @@ def test_enumerate_counts_each_row_with_the_block_pass(capsys, monkeypatch):
     for line in lines[:-1]:
         text, count = line.split()
         assert int(count) == oracle_count(from_graph6(text)).total, text
+
+
+def test_enumerate_with_a_core_missing_exits_3_and_writes_no_rows(capsys, monkeypatch):
+    # The class count is checked when the generator's stream ends, before
+    # the first row.
+    drop_last_core(monkeypatch)
+    code, out, err = run(capsys, "enumerate", "--n", "9")
+    assert (code, out) == (3, "") and "OEIS A001429 has 797" in err
 
 
 def test_enumerate_csv(capsys):
@@ -546,6 +556,18 @@ def test_parameter_bounds_are_invalid_requests(capsys, argv, message):
     assert run(capsys, *argv.split()) == (3, "", f"invalid request: {message}\n")
 
 
+def test_oversized_family_spec_is_refused_before_the_graph_is_built(capsys):
+    # No parameter exceeds the order it builds, so the spec itself refuses
+    # one above MAX_VERTICES, with no edge listed.
+    from connsets import ContractViolationError
+    from connsets.families import FamilySpec
+
+    with pytest.raises(ContractViolationError, match=f"path needs n in 1..{MAX_VERTICES}"):
+        FamilySpec("path", (3_000_000,))
+    code, out, err = run(capsys, "family", "star:3000000")
+    assert (code, out) == (3, "") and f"star needs n in 1..{MAX_VERTICES}" in err
+
+
 def test_repeated_edge_in_a_file_is_malformed(tmp_path, capsys):
     edge_file = tmp_path / "twice.txt"
     edge_file.write_text("2 2\n0 1\n1 0\n")
@@ -586,18 +608,20 @@ def test_cli_import_keeps_numpy_out():
 
 def test_verify_above_the_guard_keeps_numpy_out():
     # Above MAX_CROSSCHECK_N the labelled guard does not run, so neither it
-    # nor numpy is imported.
+    # nor numpy is imported, on any route through the generator.
     probe = (
         "import contextlib, io, sys\n"
         "from connsets.cli import main\n"
+        "commands = (['verify', 'max', '--n', '9'], ['verify', 'vertex-bound', '--n', '9'],\n"
+        "            ['enumerate', '--n', '9'])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['verify', 'max', '--n', '9'])\n"
-        "print(code, sorted({'numpy', 'connsets.crosscheck'} & set(sys.modules)))\n"
+        "    codes = [main(argv) for argv in commands]\n"
+        "print(codes, sorted({'numpy', 'connsets.crosscheck'} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
+    assert proc.stdout == "[0, 0, 0] []\n"
 
 
 def test_labelled_guard_runs_without_numpy():

@@ -42,6 +42,8 @@ from connsets.enumeration import (
 from connsets.families import FamilySpec, build
 from connsets.graphs import subgraph, to_graph6
 
+from conftest import drop_last_core, repeat_one_key
+
 # Class counts established by the agreement of the two independent
 # generators (n <= 8) and pinned for the larger sweeps.
 BICYCLIC_CLASSES = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678}
@@ -247,6 +249,32 @@ def test_burnside_guard_catches_a_class_kept_twice(monkeypatch):
         list(generate_bicyclic(9))
     with pytest.raises(ContractViolationError, match="n=9: core dumbbell:3,4,2 kept"):
         verify_mod.verify_minimum(9)
+
+
+@pytest.mark.parametrize(
+    "route", ["generate_bicyclic", "generate_counted_keys", "enumerate_bicyclic", "cli"]
+)
+def test_every_route_ends_with_the_corpus_guards(route, monkeypatch, capsys):
+    # A core missing at n = 9 leaves every per-core guard passing, and one
+    # key repeated in place of another at n = 6 keeps every count right;
+    # each route fails on both, naming n.
+    from connsets.cli import main
+
+    def failure(n):
+        if route == "cli":
+            code = main(["enumerate", "--n", str(n)])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "")
+            return err
+        with pytest.raises(ContractViolationError) as excinfo:
+            list(getattr(enumeration, route)(n))
+        return str(excinfo.value)
+
+    drop_last_core(monkeypatch)
+    assert "at n=9, OEIS A001429 has 797" in failure(9)
+    monkeypatch.undo()
+    repeat_one_key(monkeypatch)
+    assert "n=6" in failure(6)
 
 
 def test_stream_and_certificate_view_hold_the_same_graphs():

@@ -20,6 +20,8 @@ from connsets.verify import (
     verify_vertex_bound,
 )
 
+from conftest import drop_last_core, repeat_one_key
+
 
 def test_minimum_small_orders():
     report = verify_minimum(5)
@@ -103,24 +105,17 @@ def test_json_and_csv_shapes():
 
 
 def test_exhaustiveness_guard_catches_broken_enumeration(monkeypatch):
-    import connsets.verify as verify_mod
+    from connsets import enumeration
 
-    monkeypatch.setattr(
-        verify_mod, "enumerate_bicyclic", lambda n, cap=None: [] if cap is None else []
-    )
-    with pytest.raises(ContractViolationError):
-        verify_mod.verify_minimum(6)
+    monkeypatch.setattr(enumeration, "_core_specs", lambda n: iter(()))
+    with pytest.raises(ContractViolationError, match="no graphs at n=6"):
+        verify_minimum(6)
 
 
 def test_exhaustiveness_guard_covers_orders_past_the_labelled_sweep(monkeypatch):
-    import connsets.verify as verify_mod
-    from connsets.enumeration import generate_counted_keys as real
-
-    monkeypatch.setattr(
-        verify_mod, "generate_counted_keys", lambda n, cap=None: list(real(n))[:-1]
-    )
-    with pytest.raises(ContractViolationError):
-        verify_mod.verify_minimum(9)
+    drop_last_core(monkeypatch)
+    with pytest.raises(ContractViolationError, match="A001429 has 797"):
+        verify_minimum(9)
 
 
 def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
@@ -161,23 +156,21 @@ def test_tied_attainers_are_reported_in_certificate_order(monkeypatch):
 
 
 def test_exhaustiveness_guard_compares_class_lists(monkeypatch):
-    # One class replaced by a copy of another keeps the A001429 count
-    # right, so only the labelled guard sees it: the copy's orbit meets
-    # the original's.
+    # One key yielded twice in place of another key of the same core keeps
+    # the Burnside and A001429 counts right, so only the labelled guard
+    # sees it: the copy's orbit meets the original's.  The vertex-bound
+    # sweep reads the stream, with no certificate check before the guard.
     import re
 
-    import connsets.verify as verify_mod
-    from connsets.enumeration import enumerate_bicyclic as real
+    from connsets.enumeration import graph_from_key
     from connsets.graphs import to_graph6
 
-    def duplicated(n, cap=None):
-        graphs = real(n)
-        return [graphs[1]] + graphs[1:]
-
-    monkeypatch.setattr(verify_mod, "enumerate_bicyclic", duplicated)
-    message = f"n=6: the orbit of {re.escape(to_graph6(real(6)[1]))} overlaps an earlier class"
-    with pytest.raises(ContractViolationError, match=message):
-        verify_mod.verify_minimum(6)
+    repeated = repeat_one_key(monkeypatch)
+    with pytest.raises(ContractViolationError) as excinfo:
+        verify_vertex_bound(6)
+    graph6 = to_graph6(graph_from_key(repeated[0]))
+    message = f"n=6: the orbit of {re.escape(graph6)} overlaps an earlier class"
+    excinfo.match(message)
 
 
 def test_maximum_fails_when_the_runner_up_is_off(monkeypatch):
@@ -260,9 +253,10 @@ def test_block_pass_disagreeing_with_the_oracle_is_a_contract_violation(monkeypa
     # every class at n <= 8 reads.
     import connsets.verify as verify_mod
     from connsets.counting import smart_count
+    from connsets.enumeration import generate_bicyclic
     from connsets.graphs import to_graph6
 
-    graphs = verify_mod._guarded_enumeration(n, None)
+    graphs = list(generate_bicyclic(n))
     if n == 9:
         r9 = canonical_certificate(build(FamilySpec("R", (9,))))
         target = next(g for g in graphs if canonical_certificate(g) == r9)
@@ -292,7 +286,7 @@ def test_block_pass_disagreeing_with_the_oracle_is_a_contract_violation(monkeypa
 
 
 def test_labelled_guard_order_is_the_crosscheck_limit():
-    import connsets.verify as verify_mod
+    from connsets import enumeration
     from connsets.crosscheck import MAX_CROSSCHECK_N
 
-    assert verify_mod.LABELLED_GUARD_N == MAX_CROSSCHECK_N
+    assert enumeration.LABELLED_GUARD_N == MAX_CROSSCHECK_N
