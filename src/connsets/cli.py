@@ -30,6 +30,7 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterable
 
 from . import verify as verify_mod
 from .counting import DEFAULT_ORACLE_CAP, smart_count, smart_count_pair, smart_count_rooted
@@ -79,11 +80,13 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return build(parse_family_spec(args.family))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` to ``--out`` or stdout, opened once, flushing each
+    chunk so that what was written survives an interruption."""
+    with open(out, "w") if out else nullcontext(sys.stdout) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            handle.flush()
 
 
 def _check_out(out: str | None) -> None:
@@ -111,7 +114,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         except ValueError:
             raise FormatError("--pair expects two comma-separated vertex ids") from None
         lines.append(str(smart_count_pair(g, u, v, args.cap)))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -120,7 +123,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     lines = [to_graph6(g)]
     if args.count:
         lines.append(str(smart_count(g, args.cap).total))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -133,21 +136,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
     def rows():
         if args.format == "csv":
-            yield "graph6,certificate,connected_sets,core_kind"
+            yield "graph6,certificate,connected_sets,core_kind\n"
             for g in graphs:
                 c = smart_count(g).total
-                yield f"{to_graph6(g)},{canonical_certificate(g)},{c},{extract_core(g)[0]}"
+                yield f"{to_graph6(g)},{canonical_certificate(g)},{c},{extract_core(g)[0]}\n"
         else:
             for g in graphs:
-                yield f"{to_graph6(g)} {smart_count(g).total}"
+                yield f"{to_graph6(g)} {smart_count(g).total}\n"
         # Trailing summary marks completion; consumers must check it.
-        yield f"# complete n={args.n} classes={len(graphs)}"
+        yield f"# complete n={args.n} classes={len(graphs)}\n"
 
-    # Write line by line so partial output survives interruption.
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
-        for line in rows():
-            handle.write(line + "\n")
-            handle.flush()
+    _emit(rows(), args.out)
     return EXIT_OK
 
 
@@ -185,7 +184,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             "delta_left": shift.delta_left,
             "delta_right": shift.delta_right,
         }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
         return EXIT_OK
     g = _load_graph(args)
     if args.surgery == "subtree-to-star":
@@ -203,7 +202,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         "applied": outcome.applied,
         "family": outcome.family_name,
     }
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -256,7 +255,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = verify_mod.reports_to_csv(reports)
     else:
         text = "\n".join(rep.to_json() for rep in reports) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     failed = [rep for rep in reports if rep.status == verify_mod.FAIL]
     for rep in failed:
         print(f"FAILED: {rep.claim} at n={rep.n_lo}", file=sys.stderr)

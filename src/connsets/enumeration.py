@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .canon import automorphism_group, canonical_certificate
-from .counting import smart_count, smart_count_rooted, weighted_total
+from .counting import weighted_total
 from .errors import ContractViolationError, ResourceCapError
 from .families import FamilySpec, build
 from .graphs import (
@@ -105,21 +105,27 @@ def tree_edges_from_levels(levels: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def enumerate_trees(n: int, cap: int | None = None) -> list[Graph]:
-    """All isomorphism classes of free trees on ``n`` vertices.
-
-    Rooted shapes are generated by level sequence and collapsed to free
-    trees by certificate; results are sorted by certificate.  ``cap``
-    (default ``DEFAULT_TREE_CAP``) is the largest order allowed.
-    """
+    """All isomorphism classes of free trees on ``n`` vertices, in
+    certificate order: the shapes of ``_rooted_trees(n)`` collapsed by
+    certificate, which must number Otter's free-tree count.  ``cap``
+    (default ``DEFAULT_TREE_CAP``) is the largest order allowed."""
     if n < 1:
         raise ContractViolationError(f"trees need n >= 1, got {n}")
     cap = DEFAULT_TREE_CAP if cap is None else cap
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n <= {cap}, got {n}")
     seen: dict[str, Graph] = {}
-    for levels in rooted_tree_level_sequences(n):
-        t = Graph.from_edges(n, tree_edges_from_levels(levels))
-        seen.setdefault(canonical_certificate(t), t)
+    for edges in _rooted_trees(n):
+        tree = Graph.from_edges(n, edges)
+        seen.setdefault(canonical_certificate(tree), tree)
+    # Otter's free-tree count (OEIS A000055) from the rooted counts t:
+    # f_n = t_n - (sum_{i=1}^{n-1} t_i t_{n-i} - [n even] t_{n/2}) / 2.
+    t = _rooted_tree_counts(n)
+    free = t[n] - (sum(t[i] * t[n - i] for i in range(1, n)) - (0 if n % 2 else t[n // 2])) // 2
+    if len(seen) != free:
+        raise ContractViolationError(
+            f"enumeration produced {len(seen)} tree classes at n={n}, Otter's count is {free}"
+        )
     return [seen[c] for c in sorted(seen)]
 
 
@@ -468,11 +474,13 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
 @lru_cache(maxsize=None)
 def _tree_counts(size: int) -> tuple[tuple[int, int], ...]:
     """(N(T), rooted count at the root) of each rooted tree in
-    ``_rooted_trees(size)``, by the block pass."""
+    ``_rooted_trees(size)``, from one block pass: the root, vertex 0, is
+    where :func:`blocks` starts, so the pass leaves its count in ``w[0]``."""
     out = []
     for edges in _rooted_trees(size):
         t = Graph.from_edges(size, edges)
-        out.append((smart_count(t).total, smart_count_rooted(t, 0).value))
+        w = [1] * size
+        out.append((weighted_total(t, blocks(t), w, None), w[0]))
     return tuple(out)
 
 

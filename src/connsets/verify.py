@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .canon import canonical_certificate
@@ -67,17 +68,7 @@ class VerificationReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "claim": self.claim,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "expected": self.expected,
-            "observed": self.observed,
-            "attainers": list(self.attainers),
-            "status": self.status,
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def csv_row(self) -> tuple[str, str, str, str, str]:
         span = str(self.n_lo) if self.n_lo == self.n_hi else f"{self.n_lo}..{self.n_hi}"
@@ -259,20 +250,20 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
 
 def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
     """Every vertex of every n-vertex bicyclic graph lies in at least
-    n + 3 connected sets; equality cases are recorded, in certificate
-    order."""
-    graphs = list(generate_bicyclic(n, cap))
+    n + 3 connected sets.  The classes are streamed from the generator
+    and only the equality cases kept, recorded in certificate order."""
     bound = n + 3
-    worst = None
+    worst = math.inf
+    classes = 0
     equality: list[tuple[Graph, int]] = []
-    for g in graphs:
+    for g in generate_bicyclic(n, cap):
+        classes += 1
         for v in range(g.n):
             value = oracle_count_rooted(g, v).value
-            if worst is None or value < worst:
-                worst = value
+            worst = min(worst, value)
             if value == bound:
                 equality.append((g, v))
-    status = PASS if worst is not None and worst >= bound else FAIL
+    status = PASS if worst >= bound else FAIL
     equality.sort(key=lambda case: (canonical_certificate(case[0]), case[1]))
     notes = tuple(
         f"equality at vertex {v} of {to_graph6(g)} (degree {g.degree(v)})"
@@ -284,9 +275,9 @@ def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
         n_hi=n,
         expected={"lower_bound": bound, "bound_formula": "n+3"},
         observed={
-            "min_rooted": worst if worst is not None else -1,
+            "min_rooted": worst,
             "equality_cases": len(equality),
-            "classes": len(graphs),
+            "classes": classes,
         },
         attainers=tuple(_attainer(g) for g, _ in equality),
         status=status,
@@ -294,8 +285,8 @@ def verify_vertex_bound(n: int, cap: int | None = None) -> VerificationReport:
     )
 
 
-# The three pendant-free shapes just above the smallest cases, and the
-# small named theta graphs, with their reference counts.
+# The three pendant-free shapes just above the smallest cases, with their
+# reference counts; the named theta graphs are rows of ``families._NAMED``.
 _SMALL_SHAPE_ROWS = (
     (FamilySpec("typeII", (3, 4)), 37),
     (FamilySpec("dumbbell", (3, 3, 2)), 30),

@@ -102,13 +102,52 @@ def test_count_at_the_vertex_ceiling(capsys):
 def test_count_out_writes_the_stdout_bytes(tmp_path, capsys):
     target = tmp_path / "count.txt"
     for argv in (
-        ("--family", "L:9"),
-        ("--family", "path:30"),
-        ("--graph6", "Bw", "--root", "0"),
+        ("count", "--family", "L:9"),
+        ("count", "--family", "path:30"),
+        ("count", "--graph6", "Bw", "--root", "0"),
+        ("family", "L:9", "--count"),
+        ("enumerate", "--n", "6", "--format", "csv"),
+        ("transform", "part-to-q", "--family", "typeII:3,5", "--cycle", "0,1,2", "--anchor", "0"),
+        ("verify", "min", "--n", "5", "--format", "csv"),
     ):
-        _, expected, _ = run(capsys, "count", *argv)
-        code, out, _ = run(capsys, "count", *argv, "--out", str(target))
-        assert code == 0 and out == "" and target.read_text() == expected, argv
+        _, expected, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == "" and target.read_bytes() == expected.encode(), argv
+
+
+def test_enumerate_out_holds_each_row_before_the_next_is_counted(tmp_path, capsys, monkeypatch):
+    import connsets.cli as cli
+
+    target = tmp_path / "rows.csv"
+    real = cli.smart_count
+    lines_written = []
+
+    def count(g):
+        lines_written.append(len(target.read_text().splitlines()))
+        return real(g)
+
+    monkeypatch.setattr(cli, "smart_count", count)
+    code, out, _ = run(capsys, "enumerate", "--n", "6", "--format", "csv", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert lines_written == list(range(1, 20))
+
+
+# sha256 of stdout, pinned so that simplifications keep the same bytes.
+_PINNED_STDOUT = {
+    ("verify", "all"): "471d2f1869298bb21f9ee7ae76e4facaf535e04ad3e16a4e51d587be83c3deb2",
+    ("verify", "all", "--format", "csv"): (
+        "bdb77a0fd60d999f1e7370fa8b8df98edf2c527793ee2cbffbe811da9761b42c"
+    ),
+    ("enumerate", "--n", "8", "--format", "csv"): (
+        "91759a82af1d525b08eb50b73158ae4f6dc8dd3e9f5cb96e0ed17809b314954e"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_STDOUT))
+def test_pinned_commands_print_the_same_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, _PINNED_STDOUT[argv])
 
 
 def test_family_build_and_count(capsys):

@@ -64,6 +64,16 @@ def test_enumerate_trees_counts():
             assert t.n == n and t.edge_count == n - 1 and is_connected(t)
 
 
+def test_tree_enumeration_is_guarded_by_otters_count(monkeypatch):
+    # A certificate that reads only the degrees merges the two 6-vertex
+    # spiders with degrees (3, 2, 2, 1, 1, 1), so one class goes missing.
+    monkeypatch.setattr(
+        enumeration, "canonical_certificate", lambda t: str(sorted(t.degrees()))
+    )
+    with pytest.raises(ContractViolationError, match="5 tree classes at n=6, Otter's count is 6"):
+        enumerate_trees(6)
+
+
 def test_enumerate_trees_vs_labeled_bijection():
     for n in range(1, 8):
         own = tuple(sorted(canonical_certificate(t) for t in enumerate_trees(n)))

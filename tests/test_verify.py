@@ -1,12 +1,17 @@
 """The verification harness: statuses, determinism, serialisation."""
 
 import json
+import re
 
 import pytest
 
 from connsets import ContractViolationError, ResourceCapError
+from connsets import verify as verify_mod
 from connsets.canon import canonical_certificate
+from connsets.counting import RootedCount
+from connsets.enumeration import enumerate_trees
 from connsets.families import FamilySpec, build
+from connsets.graphs import to_graph6
 from connsets.verify import (
     FAIL,
     INFORMATIONAL,
@@ -64,6 +69,28 @@ def test_vertex_bound_equality_cases():
         verify_vertex_bound(12)
 
 
+def test_vertex_bound_counts_each_class_as_it_streams(monkeypatch):
+    # Each class is counted before the next one is generated, so the sweep
+    # never holds the corpus.
+    events = []
+    generate, rooted = verify_mod.generate_bicyclic, verify_mod.oracle_count_rooted
+
+    def streamed(n, cap=None):
+        for g in generate(n, cap):
+            events.append("class")
+            yield g
+
+    def counted(g, v):
+        events.append("count")
+        return rooted(g, v)
+
+    monkeypatch.setattr(verify_mod, "generate_bicyclic", streamed)
+    monkeypatch.setattr(verify_mod, "oracle_count_rooted", counted)
+    report = verify_vertex_bound(5)
+    assert (report.status, report.observed["classes"]) == (PASS, 5)
+    assert events == (["class"] + ["count"] * 5) * 5
+
+
 def test_closed_forms_sweep():
     report = verify_closed_forms(12)
     assert report.status == PASS
@@ -80,6 +107,87 @@ def test_lemma_algebra_seeded():
 def test_tree_bound_sweep():
     report = verify_tree_bound(8)
     assert report.status == PASS
+
+
+_L7 = FamilySpec("L", (7,))
+
+
+@pytest.mark.parametrize(
+    "name, wrong, note",
+    [
+        (
+            "closed_form",
+            lambda real: lambda spec: real(spec) + (spec == _L7),
+            "L:7: formula 40 != oracle 39",
+        ),
+        (
+            "_SMALL_SHAPE_ROWS",
+            lambda real: ((FamilySpec("typeII", (3, 4)), 38),) + real[1:],
+            "typeII:3,4: oracle 37 != reference 38",
+        ),
+        (
+            "e_graph_reference",
+            lambda real: lambda: [("A4", (15, 8)), *real()[1:]],
+            "A4: oracle 14 (reference 15), max rooted 8 (bound 8)",
+        ),
+        (
+            "e_graph_reference",
+            lambda real: lambda: [*real()[:-1], ("E8", (100, 63))],
+            "E8: oracle 100 (reference 100), max rooted 64 (bound 63)",
+        ),
+    ],
+)
+def test_closed_forms_fail_and_name_the_mismatch(monkeypatch, name, wrong, note):
+    monkeypatch.setattr(verify_mod, name, wrong(getattr(verify_mod, name)))
+    report = verify_closed_forms(8)
+    assert (report.status, report.notes) == (FAIL, (note,))
+    assert report.observed["mismatches"] == 1
+
+
+_G6 = r"[?-~]+"
+
+
+@pytest.mark.parametrize(
+    "name, wrong, note",
+    [
+        (
+            "combine_identified",
+            lambda real: lambda *a: (real(*a)[0] + 1, real(*a)[1]),
+            rf"identify: {_G6} \+ {_G6} at \(\d+,\d+\)",
+        ),
+        ("extend_pendant", lambda real: lambda *a: real(*a) + 1, rf"pendant: {_G6} at \d+"),
+        (
+            "branch_shift",
+            lambda real: lambda *a: real(*a)._replace(delta_left=real(*a).delta_left + 1),
+            rf"branch: L={_G6} M={_G6} R={_G6} u=\d+ v=\d+",
+        ),
+    ],
+)
+def test_lemma_algebra_fails_and_names_each_counterexample(monkeypatch, name, wrong, note):
+    monkeypatch.setattr(verify_mod, name, wrong(getattr(verify_mod, name)))
+    report = verify_lemma_algebra(trials=3, seed=4, pendant_trials=3, branch_trials=3)
+    assert report.status == FAIL and report.observed["failures"] == 3
+    assert len(report.notes) == 3 and all(re.fullmatch(note, n) for n in report.notes)
+
+
+@pytest.mark.parametrize(
+    "shift, note",
+    [(1, "{g6} at {v}: 5 > 4"), (-1, "{g6} at {v}: equality pattern wrong (value 3, bound 4)")],
+)
+def test_tree_bound_fails_and_names_the_vertex(monkeypatch, shift, note):
+    # Move the rooted count at the centre of the path on three vertices.
+    real = verify_mod.tree_rooted_count
+
+    def moved(t, v):
+        value = real(t, v).value
+        return RootedCount(value + shift if t.n == 3 and t.degree(v) == 2 else value)
+
+    monkeypatch.setattr(verify_mod, "tree_rooted_count", moved)
+    report = verify_tree_bound(3)
+    (path,) = enumerate_trees(3)
+    centre = path.degrees().index(2)
+    assert report.status == FAIL
+    assert report.notes == (note.format(g6=to_graph6(path), v=centre),)
 
 
 def test_reports_are_deterministic():
