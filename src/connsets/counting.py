@@ -6,9 +6,9 @@ sets it counts, and sums a product of vertex weights over them.  The
 oracle, the ground truth of the whole package, runs it with every weight
 1.  The block pass (``weighted_total``, behind the ``smart_count*``
 functions and the keyed count of :mod:`connsets.enumeration`) runs it,
-weighted, on the blocks of G that are neither a bridge nor a cycle, and is
-validated against the oracle, as are the closed forms and the
-identification algebra.
+weighted, on the blocks of G that are neither a bridge nor a cycle, and
+leaves the count through its start vertex in that vertex's weight; it is
+checked against the oracle, as are closed forms and identification algebra.
 
 Counts of disconnected graphs are defined as the sum over components, the
 convention that makes the vertex-deletion identities total.
@@ -17,7 +17,6 @@ convention that makes the vertex-deletion identities total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from operator import mul
 
@@ -184,7 +183,7 @@ def weighted_total(
     g: Graph, block_list: list[tuple[int, int]], w: list[int], cap: int | None
 ) -> int:
     """Sum over the connected sets of G of the product of ``w`` over their
-    vertices, from ``block_list``, which is ``blocks(g)``; ``w`` is
+    vertices, from ``block_list``, which is ``blocks(g, root)``; ``w`` is
     overwritten.
 
     A sum over the blocks, leaves first.  Each block's sum through its
@@ -192,7 +191,8 @@ def weighted_total(
     number of connected sets through the head inside the blocks it heads
     and those below them.  A set through a DFS root is counted by the
     root's weight; any other set meets one highest block without its head
-    and is counted there."""
+    and is counted there.  So the pass leaves in ``w[root]`` the weighted
+    count of the sets through ``root`` (its own weight if isolated)."""
     total = below = 0
     for block, head in block_list:
         avoid, through = _block_sums(g, block, head, w, cap)
@@ -200,15 +200,6 @@ def weighted_total(
         w[head] = through
         below |= block & ~(1 << head)
     return total + sum(w[r] for r in range(g.n) if not below >> r & 1)
-
-
-def _smart_total(g: Graph, cap: int | None, gone: int = 0) -> int:
-    """N(G - gone): the weighted total of G where the vertices of ``gone``
-    weigh 0 and all others 1."""
-    w = [1] * g.n
-    for v in bits(gone):
-        w[v] = 0
-    return weighted_total(g, blocks(g), w, cap)
 
 
 def smart_count(g: Graph, cap: int | None = None) -> CountResult:
@@ -222,22 +213,27 @@ def smart_count(g: Graph, cap: int | None = None) -> CountResult:
     mask in G, under ``cap``.  Always equals ``oracle_count`` where both
     run.
     """
-    return CountResult(_smart_total(g, cap))
+    return CountResult(weighted_total(g, blocks(g), [1] * g.n, cap))
 
 
 def smart_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
-    """Count of connected sets through ``v``: N(G) - N(G - v), both from
-    the block pass of G, so under ``cap`` exactly when ``smart_count`` is."""
+    """Count of connected sets through ``v``, from one block pass started
+    at ``v`` (see :func:`weighted_total`), under ``cap`` as ``smart_count``."""
     _check_vertices(g, v)
-    return RootedCount(_smart_total(g, cap) - _smart_total(g, cap, 1 << v))
+    w = [1] * g.n
+    weighted_total(g, blocks(g, v), w, cap)
+    return RootedCount(w[v])
 
 
 def smart_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
-    """Count of connected sets through both ``u`` and ``v``, by inclusion
-    and exclusion: N(G) - N(G - u) - N(G - v) + N(G - u - v)."""
+    """Count of connected sets through both ``u`` and ``v``: the count
+    through ``u`` less the count through ``u`` where ``v`` weighs 0, from
+    two block passes started at ``u`` (see :func:`weighted_total`)."""
     _check_vertices(g, u, v)
-    without = partial(_smart_total, g, cap)
-    return without(0) - without(1 << u) - without(1 << v) + without(1 << u | 1 << v)
+    w = [1] * g.n
+    w[v] = 0
+    weighted_total(g, blocks(g, u), w, cap)
+    return smart_count_rooted(g, u, cap).value - w[u]
 
 
 def tree_rooted_count(t: Graph, v: int) -> RootedCount:

@@ -474,8 +474,8 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
 @lru_cache(maxsize=None)
 def _tree_counts(size: int) -> tuple[tuple[int, int], ...]:
     """(N(T), rooted count at the root) of each rooted tree in
-    ``_rooted_trees(size)``, from one block pass: the root, vertex 0, is
-    where :func:`blocks` starts, so the pass leaves its count in ``w[0]``."""
+    ``_rooted_trees(size)``, from one block pass started at the root,
+    vertex 0, which leaves its count in ``w[0]`` (see :func:`weighted_total`)."""
     out = []
     for edges in _rooted_trees(size):
         t = Graph.from_edges(size, edges)

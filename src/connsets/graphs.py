@@ -6,7 +6,8 @@ operation.  Graphs are immutable values: all operations return new graphs
 and are safe to share freely.
 
 Connectivity: :func:`components` splits a vertex set, and :func:`blocks`
-lists the blocks (Tarjan), which :func:`cut_vertices` reads.
+lists the blocks (Tarjan) leaves first from a chosen start vertex, which
+the block pass of :mod:`connsets.counting` and :func:`cut_vertices` read.
 
 The module also speaks the two on-disk formats used throughout: graph6
 (the standard compact ASCII encoding of small graphs) and a plain edge
@@ -126,15 +127,15 @@ class Graph:
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Apply a permutation: position ``i`` of ``perm`` names the old
         vertex that becomes new vertex ``i``."""
+        if sorted(perm) != list(range(self.n)):
+            raise ContractViolationError(f"not a permutation of 0..{self.n - 1}: {perm}")
         pos = [0] * self.n
         for i, v in enumerate(perm):
             pos[v] = i
         adj = [0] * self.n
         for i, v in enumerate(perm):
-            row = 0
             for u in bits(self.adj[v]):
-                row |= 1 << pos[u]
-            adj[i] = row
+                adj[i] |= 1 << pos[u]
         return Graph(self.n, tuple(adj))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -226,18 +227,20 @@ def pendant_vertices(g: Graph) -> int:
     return mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 1)
 
 
-def blocks(g: Graph) -> list[tuple[int, int]]:
+def blocks(g: Graph, root: int = 0) -> list[tuple[int, int]]:
     """Blocks (2-connected pieces and bridges) as (vertex mask, head), by
     iterative Tarjan over a vertex stack; isolated vertices lie in none.
 
-    Each component is searched from its smallest vertex.  A block's head
-    is its vertex nearest that root, and every block hanging below one of
-    its other vertices comes earlier in the list.
+    The component of ``root`` is searched from ``root``, every other one
+    from its smallest vertex; the masks do not depend on ``root``.  A
+    block's head is its vertex nearest that start, and every block hanging
+    below one of its other vertices comes earlier in the list, the order
+    :func:`connsets.counting.weighted_total` reads.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     out: list[tuple[int, int]] = []
-    for r in range(g.n):
+    for r in (root, *range(g.n)):
         if r in disc:
             continue
         disc[r] = low[r] = len(disc)

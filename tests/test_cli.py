@@ -141,6 +141,22 @@ _PINNED_STDOUT = {
     ("enumerate", "--n", "8", "--format", "csv"): (
         "91759a82af1d525b08eb50b73158ae4f6dc8dd3e9f5cb96e0ed17809b314954e"
     ),
+    ("verify", "tree-bound", "--n", "10"): (
+        "b2c0ddf5bb20b206a2434b448240e72af83df34a8e9a39f275b671085a1a5118"
+    ),
+    ("count", "--family", "theta:5,6,7", "--root", "4"): (
+        "34f14f95d628a20e72158dab1a62b8761eee7573423dd87e317d917bf6ba29b1"
+    ),
+    ("count", "--family", "B:12", "--pair", "0,5"): (
+        "4f71bb761ace37c88826cd8cc1c948e1cf5b5d0cd153dc651a6efdb3dfb9f2b1"
+    ),
+    # A 5-cycle at 2 and a tailed triangle at 3 on theta(3,3,4) at 0 and 4.
+    (
+        "transform", "branch-shift",
+        "--left", "Dhc", "--left-vertex", "2",
+        "--mid", "E]`G", "--mid-u", "0", "--mid-v", "4",
+        "--right", "C{", "--right-vertex", "3",
+    ): "890fb0e0b81c8471f9a077381a84113d4900bdab9d9a86c7e418e8cac5d21d0a",
 }
 
 

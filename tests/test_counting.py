@@ -312,6 +312,10 @@ def test_weighted_search_equals_a_subset_scan():
             for head in every:
                 through = counting._connected_subsets(g.adj, g.vertex_mask, w, 1 << head)
                 assert through == scan(adjacency, every, w, (head,)), (g.edges(), head)
+                # A pass started at head leaves that sum in its weight.
+                passed = list(w)
+                counting.weighted_total(g, blocks(g, head), passed, None)
+                assert passed[head] == through, (g.edges(), head, w)
             for block, _ in blocks(g):
                 inside = list(bits(block))
                 for head in inside:
@@ -343,6 +347,24 @@ def graphs_with_dense_blocks(draw):
         chosen |= {(0, i) for i in range(1, w)}
         chosen |= {(i, i + 1) for i in range(1, w - 1)} | {(1, w - 1)}
     return Graph.from_edges(n, sorted(chosen))
+
+
+def test_rooted_count_is_one_pass_and_pair_count_two(monkeypatch):
+    import connsets.counting as counting
+
+    passes = []
+    real = counting.weighted_total
+
+    def counted(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "weighted_total", counted)
+    g = build(FamilySpec("theta", (2, 3, 4)))
+    assert smart_count_rooted(g, 3) == oracle_count_rooted(g, 3)
+    assert len(passes) == 1
+    assert smart_count_pair(g, 3, 1) == oracle_count_pair(g, 3, 1)
+    assert len(passes) == 1 + 2
 
 
 def test_block_pass_rooted_and_pair_equal_the_oracle():

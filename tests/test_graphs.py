@@ -22,6 +22,7 @@ from connsets import (
     to_edge_list,
     to_graph6,
 )
+from connsets.counting import oracle_count, oracle_count_rooted, weighted_total
 from connsets.families import FamilySpec, build
 from connsets.graphs import MAX_VERTICES, blocks
 
@@ -41,6 +42,14 @@ def test_construction_validates_simplicity():
         Graph(0, ())
     with pytest.raises(ContractViolationError):
         Graph(MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1))
+
+
+def test_relabel_refuses_anything_but_a_permutation():
+    p3 = path_graph(3)
+    assert p3.relabel((2, 0, 1)).edges() == [(0, 2), (1, 2)]
+    for perm in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)):
+        with pytest.raises(ContractViolationError, match="permutation"):
+            p3.relabel(perm)
 
 
 def test_induced_is_connected():
@@ -153,9 +162,13 @@ def small_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_graphs())
-def test_blocks_partition_the_edges_into_2_connected_pieces(g):
-    found = blocks(g)
+@given(small_graphs(), st.data())
+def test_blocks_partition_the_edges_into_2_connected_pieces(g, data):
+    # From any start vertex: the same blocks, each one holding it headed there.
+    root = data.draw(st.integers(0, g.n - 1))
+    found = blocks(g, root)
+    assert sorted(b for b, _ in found) == sorted(b for b, _ in blocks(g))
+    assert all(head == root for block, head in found if block >> root & 1)
     for u, v in g.edges():
         assert sum(b >> u & 1 and b >> v & 1 for b, _ in found) == 1
     for i, (block, head) in enumerate(found):
@@ -169,6 +182,20 @@ def test_blocks_partition_the_edges_into_2_connected_pieces(g):
             # A block headed at one of this block's other vertices hangs below it.
             if other_head != head and block >> other_head & 1:
                 assert j < i
+
+
+def test_blocks_from_a_root_outside_vertex_0s_component():
+    # A triangle on 0..2, a triangle 4-5-6 with the tail 3-4, and vertex 7.
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (4, 6)])
+    assert blocks(g, 5) == [(mask_of([3, 4]), 4), (mask_of([4, 5, 6]), 5), (0b111, 0)]
+    w = [1] * g.n
+    assert weighted_total(g, blocks(g, 5), w, None) == oracle_count(g).total
+    assert w[5] == oracle_count_rooted(g, 5).value
+    # An isolated root heads no block and keeps its own weight.
+    assert blocks(g, 7) == blocks(g)
+    w = [1] * 7 + [3]
+    assert weighted_total(g, blocks(g, 7), w, None) == oracle_count(g).total + 2
+    assert w[7] == 3
 
 
 def test_graph6_reference_strings():
