@@ -13,6 +13,11 @@ Subcommands
                corpus order, the oracle (closed-forms) or the tree order
                (tree-bound); lemmas ignores both
 
+Layers load on demand: the module imports only the standard library and
+``errors`` (which holds ``DEFAULT_ORACLE_CAP`` for the help text), so
+building the parser loads no layer, and each command imports the layers
+it runs when it starts.
+
 Inputs are graph6 strings, edge-list files, or family spec strings such
 as ``L:9`` or ``theta:2,3,4``; exactly one input source per invocation.
 Outputs are deterministic given the seed, so identical invocations yield
@@ -30,16 +35,14 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING
 
-from . import verify as verify_mod
-from .counting import DEFAULT_ORACLE_CAP, smart_count, smart_count_pair, smart_count_rooted
-from .enumeration import enumerate_bicyclic, extract_core
-from .errors import ContractViolationError, FormatError, ResourceCapError
-from .families import build, parse_family_spec
-from .graphs import Graph, from_edge_list, from_graph6, mask_of, to_graph6
-from .canon import canonical_certificate
-from .transforms import branch_shift, cycle_to_tadpole, part_to_q, subtree_to_star
+from .errors import DEFAULT_ORACLE_CAP, ContractViolationError, FormatError, ResourceCapError
+
+if TYPE_CHECKING:
+    from typing import Iterable
+
+    from .graphs import Graph
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -60,6 +63,9 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
+    from .families import build, parse_family_spec
+    from .graphs import from_edge_list, from_graph6
+
     sources = [s for s in (args.graph6, args.file, getattr(args, "family", None)) if s]
     if len(sources) != 1:
         raise ContractViolationError(
@@ -102,6 +108,8 @@ def _check_cap(cap: int | None) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .counting import smart_count, smart_count_pair, smart_count_rooted
+
     g = _load_graph(args)
     lines = []
     if args.root is None and args.pair is None:
@@ -119,6 +127,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .counting import smart_count
+    from .families import build, parse_family_spec
+    from .graphs import to_graph6
+
     g = build(parse_family_spec(args.spec))
     lines = [to_graph6(g)]
     if args.count:
@@ -132,6 +144,11 @@ _CAP_HELP = (
 )
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .canon import canonical_certificate
+    from .counting import smart_count
+    from .enumeration import enumerate_bicyclic, extract_core
+    from .graphs import to_graph6
+
     graphs = enumerate_bicyclic(args.n, args.cap)
 
     def rows():
@@ -151,6 +168,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _parse_vertex_list(text: str, g: Graph) -> int:
+    from .graphs import mask_of
+
     try:
         ids = [int(tok) for tok in text.split(",")]
     except ValueError:
@@ -162,6 +181,9 @@ def _parse_vertex_list(text: str, g: Graph) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .graphs import from_graph6, to_graph6
+    from .transforms import branch_shift, cycle_to_tadpole, part_to_q, subtree_to_star
+
     if args.surgery == "branch-shift":
         needed = (args.left, args.mid, args.right, args.mid_u, args.mid_v)
         if any(x is None for x in needed):
@@ -206,29 +228,30 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each runner takes the ``verify`` module, imported when ``verify`` runs.
 _CLAIM_RUNNERS = {
-    "min": lambda args: [
-        verify_mod.verify_minimum(n, cap=args.cap)
+    "min": lambda verify, args: [
+        verify.verify_minimum(n, cap=args.cap)
         for n in _span(args, default_lo=5, default_hi=10)
     ],
-    "max": lambda args: [
-        verify_mod.verify_maximum(n, cap=args.cap)
+    "max": lambda verify, args: [
+        verify.verify_maximum(n, cap=args.cap)
         for n in _span(args, default_lo=5, default_hi=10)
     ],
-    "vertex-bound": lambda args: [
-        verify_mod.verify_vertex_bound(n, cap=args.cap)
+    "vertex-bound": lambda verify, args: [
+        verify.verify_vertex_bound(n, cap=args.cap)
         for n in _span(args, default_lo=4, default_hi=9)
     ],
-    "closed-forms": lambda args: [
-        verify_mod.verify_closed_forms(**_order(args), cap=args.cap)
+    "closed-forms": lambda verify, args: [
+        verify.verify_closed_forms(**_order(args), cap=args.cap)
     ],
-    "lemmas": lambda args: [
-        verify_mod.verify_lemma_algebra(
+    "lemmas": lambda verify, args: [
+        verify.verify_lemma_algebra(
             trials=500, seed=args.seed, pendant_trials=200, branch_trials=200
         )
     ],
-    "tree-bound": lambda args: [
-        verify_mod.verify_tree_bound(**_order(args), cap=args.cap)
+    "tree-bound": lambda verify, args: [
+        verify.verify_tree_bound(**_order(args), cap=args.cap)
     ],
 }
 
@@ -247,16 +270,18 @@ def _span(args: argparse.Namespace, default_lo: int, default_hi: int) -> range:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n is not None and args.n < 1:
         raise ContractViolationError(f"--n must be at least 1, got {args.n}")
+    from . import verify
+
     claims = list(_CLAIM_RUNNERS) if args.claim == "all" else [args.claim]
     reports = []
     for claim in claims:
-        reports.extend(_CLAIM_RUNNERS[claim](args))
+        reports.extend(_CLAIM_RUNNERS[claim](verify, args))
     if args.format == "csv":
-        text = verify_mod.reports_to_csv(reports)
+        text = verify.reports_to_csv(reports)
     else:
         text = "\n".join(rep.to_json() for rep in reports) + "\n"
     _emit([text], args.out)
-    failed = [rep for rep in reports if rep.status == verify_mod.FAIL]
+    failed = [rep for rep in reports if rep.status == verify.FAIL]
     for rep in failed:
         print(f"FAILED: {rep.claim} at n={rep.n_lo}", file=sys.stderr)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK

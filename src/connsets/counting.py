@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
-from .errors import ContractViolationError, ResourceCapError
+from .errors import DEFAULT_ORACLE_CAP, ContractViolationError, ResourceCapError
 from .graphs import Graph, bits, blocks, components, is_connected
-
-DEFAULT_ORACLE_CAP = 24
 
 
 @dataclass(frozen=True)

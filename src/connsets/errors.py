@@ -4,7 +4,12 @@ Every error carries a human-readable message naming the violated rule so
 that callers (and the command line front end) can report precisely what
 went wrong.  The command line maps each class to one exit code:
 ``ContractViolationError`` 3, ``ResourceCapError`` 4, ``FormatError`` 5.
+The module also holds ``DEFAULT_ORACLE_CAP``, the default size cap behind
+``ResourceCapError``, so that the command line can name it in its help
+without loading a layer.
 """
+
+DEFAULT_ORACLE_CAP = 24
 
 
 class ConnsetsError(Exception):

@@ -116,17 +116,17 @@ def test_count_out_writes_the_stdout_bytes(tmp_path, capsys):
 
 
 def test_enumerate_out_holds_each_row_before_the_next_is_counted(tmp_path, capsys, monkeypatch):
-    import connsets.cli as cli
+    import connsets.counting as counting
 
     target = tmp_path / "rows.csv"
-    real = cli.smart_count
+    real = counting.smart_count
     lines_written = []
 
     def count(g):
         lines_written.append(len(target.read_text().splitlines()))
         return real(g)
 
-    monkeypatch.setattr(cli, "smart_count", count)
+    monkeypatch.setattr(counting, "smart_count", count)
     code, out, _ = run(capsys, "enumerate", "--n", "6", "--format", "csv", "--out", str(target))
     assert (code, out) == (0, "")
     assert lines_written == list(range(1, 20))
@@ -164,6 +164,27 @@ _PINNED_STDOUT = {
 def test_pinned_commands_print_the_same_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, _PINNED_STDOUT[argv])
+
+
+# sha256 of the help text at 80 columns, pinned so that loading each layer
+# on demand keeps the same bytes, the cap's default among them.
+_PINNED_HELP = {
+    ("--help",): "7110153d6562cb757f4b18d31d47853af616c772f6c09a75d2495c2aca533c4b",
+    ("count", "--help"): "9741339e2f32ee3706288d7e4ad23f3351c4a9777d86565c8e733e5eb92710be",
+    ("verify", "--help"): "dbe509f12a056bc8ae287907bfa36715bcbd7a132638fee1f6b29ef1877f7a05",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_HELP))
+def test_help_prints_the_same_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (excinfo.value.code, digest) == (0, _PINNED_HELP[argv])
+    if argv[0] == "count":
+        assert "(default 24)" in out
 
 
 def test_family_build_and_count(capsys):
@@ -274,14 +295,14 @@ def test_enumerate_stream_and_summary(capsys):
 
 
 def test_enumerate_counts_each_row_with_the_block_pass(capsys, monkeypatch):
-    import connsets.cli as cli
     import connsets.counting as counting
+    import connsets.verify as verify_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate counted with the oracle")
 
-    monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
-    monkeypatch.setattr(cli.verify_mod, "oracle_count", refuse)
+    monkeypatch.setattr(verify_mod, "count_stream", refuse)
+    monkeypatch.setattr(verify_mod, "oracle_count", refuse)
     monkeypatch.setattr(counting, "oracle_count", refuse)
     code, out, _ = run(capsys, "enumerate", "--n", "9")
     lines = out.splitlines()
@@ -317,16 +338,17 @@ def test_enumerate_deterministic(capsys):
 
 def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
     # No command takes --workers: every value is a usage error.
-    import connsets.cli as cli
+    import connsets.enumeration as enumeration
+    import connsets.verify as verify_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --workers was rejected")
 
-    monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
-    monkeypatch.setattr(cli.verify_mod, "enumerate_bicyclic", refuse)
-    monkeypatch.setattr(cli.verify_mod, "generate_bicyclic", refuse)
-    monkeypatch.setattr(cli.verify_mod, "generate_counted_keys", refuse)
-    monkeypatch.setattr(cli.verify_mod, "count_stream", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(verify_mod, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(verify_mod, "generate_bicyclic", refuse)
+    monkeypatch.setattr(verify_mod, "generate_counted_keys", refuse)
+    monkeypatch.setattr(verify_mod, "count_stream", refuse)
     for command in (("verify", "min"), ("enumerate",)):
         for workers in ("0", "-1", "2", str(os.cpu_count() + 1)):
             with pytest.raises(SystemExit) as excinfo:
@@ -338,15 +360,22 @@ def test_workers_out_of_range_rejected_before_any_work(capsys, monkeypatch):
 
 def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
     import connsets.cli as cli
+    import connsets.enumeration as enumeration
+    import connsets.families as families
+    import connsets.verify as verify_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --cap was validated")
 
-    for name in ("_load_graph", "build", "enumerate_bicyclic"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in (
+        (cli, "_load_graph"),
+        (families, "build"),
+        (enumeration, "enumerate_bicyclic"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     stages = ("enumerate_bicyclic", "generate_bicyclic", "generate_counted_keys", "count_stream")
     for name in stages:
-        monkeypatch.setattr(cli.verify_mod, name, refuse)
+        monkeypatch.setattr(verify_mod, name, refuse)
     for bad in ("0", "-1", "-5"):
         for argv in (
             ("count", "--graph6", "Bw"),
@@ -361,15 +390,16 @@ def test_nonpositive_cap_rejected_before_any_work(capsys, monkeypatch):
 
 
 def test_unwritable_out_rejected_before_any_work(tmp_path, capsys, monkeypatch):
-    import connsets.cli as cli
+    import connsets.enumeration as enumeration
+    import connsets.verify as verify_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    monkeypatch.setattr(cli, "enumerate_bicyclic", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_bicyclic", refuse)
     stages = ("enumerate_bicyclic", "generate_bicyclic", "generate_counted_keys", "count_stream")
     for name in stages:
-        monkeypatch.setattr(cli.verify_mod, name, refuse)
+        monkeypatch.setattr(verify_mod, name, refuse)
     for argv, out in (
         (("verify", "min", "--n", "12", "--cap", "12"), tmp_path),
         (("enumerate", "--n", "11"), tmp_path / "missing" / "x"),
@@ -386,17 +416,17 @@ def test_unwritable_out_rejected_before_any_work(tmp_path, capsys, monkeypatch):
 def test_verify_output_does_not_depend_on_generation_order(capsys, monkeypatch):
     # Past the labelled sweep the corpus comes in generation order;
     # attainers and equality cases are reported in certificate order.
-    import connsets.cli as cli
+    import connsets.verify as verify_mod
 
-    real = cli.verify_mod.generate_bicyclic
-    real_keys = cli.verify_mod.generate_counted_keys
+    real = verify_mod.generate_bicyclic
+    real_keys = verify_mod.generate_counted_keys
     claims = ("min", "max", "vertex-bound")
     forward = [run(capsys, "verify", claim, "--n", "9") for claim in claims]
     monkeypatch.setattr(
-        cli.verify_mod, "generate_bicyclic", lambda n, cap=None: reversed(list(real(n, cap)))
+        verify_mod, "generate_bicyclic", lambda n, cap=None: reversed(list(real(n, cap)))
     )
     monkeypatch.setattr(
-        cli.verify_mod,
+        verify_mod,
         "generate_counted_keys",
         lambda n, cap=None: reversed(list(real_keys(n, cap))),
     )
@@ -406,13 +436,13 @@ def test_verify_output_does_not_depend_on_generation_order(capsys, monkeypatch):
 
 
 def test_verify_rejects_nonpositive_order_before_any_work(capsys, monkeypatch):
-    import connsets.cli as cli
+    import connsets.verify as verify_mod
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --n was validated")
 
-    monkeypatch.setattr(cli.verify_mod, "verify_tree_bound", refuse)
-    monkeypatch.setattr(cli.verify_mod, "verify_closed_forms", refuse)
+    monkeypatch.setattr(verify_mod, "verify_tree_bound", refuse)
+    monkeypatch.setattr(verify_mod, "verify_closed_forms", refuse)
     for claim in ("tree-bound", "closed-forms"):
         for bad in ("-3", "0"):
             code, out, err = run(capsys, "verify", claim, "--n", bad)
@@ -632,16 +662,16 @@ def test_repeated_edge_in_a_file_is_malformed(tmp_path, capsys):
 
 def test_failed_verify_exits_1_and_names_the_claim(capsys, monkeypatch):
     # The runner-up lowered by one, as in the report-level test.
-    import connsets.cli as cli
+    import connsets.verify as verify_mod
 
-    real = cli.verify_mod._checked_counts
+    real = verify_mod._checked_counts
 
     def lowered(n, cap):
         counts, graph = real(n, cap)
         second = sorted(set(counts))[-2]
         return [c - 1 if c == second else c for c in counts], graph
 
-    monkeypatch.setattr(cli.verify_mod, "_checked_counts", lowered)
+    monkeypatch.setattr(verify_mod, "_checked_counts", lowered)
     code, out, err = run(capsys, "verify", "max", "--n", "8")
     assert code == 1 and json.loads(out)["status"] == "fail"
     assert "FAILED: maximum at n=8" in err
@@ -654,7 +684,8 @@ def test_identical_invocations_identical_bytes(capsys):
 
 
 def test_cli_import_keeps_numpy_out():
-    # The benchmark's setup time is this import, which loads no numpy.
+    # The benchmark's setup time is this import and ``build_parser()``, which
+    # load no layer (see tests/test_package.py) and so no numpy.
     probe = "import sys, connsets.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True)
