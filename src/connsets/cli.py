@@ -168,15 +168,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _parse_vertex_list(text: str, g: Graph) -> int:
-    from .graphs import mask_of
+    from .graphs import check_vertices, mask_of
 
     try:
         ids = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise FormatError("--cycle expects comma-separated vertex ids") from None
-    for v in sorted(ids):
-        if not 0 <= v < g.n:
-            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
+    check_vertices(g, sorted(ids))
     return mask_of(ids)
 
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import DEFAULT_ORACLE_CAP, ContractViolationError, ResourceCapError
-from .graphs import Graph, bits, blocks, components, is_connected
+from .graphs import Graph, bits, blocks, check_vertices, components, is_connected
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,11 @@ def _check_cap(size: int, cap: int | None) -> None:
         )
 
 
-def _check_vertices(g: Graph, *vs: int) -> None:
-    """Each of ``vs`` is a vertex of ``g``; a pair must be two vertices."""
-    if len(vs) == 2 and vs[0] == vs[1]:
+def _check_pair(g: Graph, u: int, v: int) -> None:
+    """``u`` and ``v`` are two distinct vertices of ``g``."""
+    if u == v:
         raise ContractViolationError("pair count requires two distinct vertices")
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
+    check_vertices(g, (u, v))
 
 
 def _connected_subsets(
@@ -104,14 +102,14 @@ def oracle_count(g: Graph, cap: int | None = None) -> CountResult:
 
 def oracle_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
     """Count of connected sets containing ``v``, by direct enumeration."""
-    _check_vertices(g, v)
+    check_vertices(g, (v,))
     _check_cap(g.n, cap)
     return RootedCount(_connected_subsets(g.adj, g.vertex_mask, [1] * g.n, 1 << v))
 
 
 def oracle_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
     """Count of connected sets containing both ``u`` and ``v``."""
-    _check_vertices(g, u, v)
+    _check_pair(g, u, v)
     _check_cap(g.n, cap)
     comp = next(c for c in components(g, g.vertex_mask) if c >> u & 1)
     both = 1 << u | 1 << v
@@ -217,7 +215,7 @@ def smart_count(g: Graph, cap: int | None = None) -> CountResult:
 def smart_count_rooted(g: Graph, v: int, cap: int | None = None) -> RootedCount:
     """Count of connected sets through ``v``, from one block pass started
     at ``v`` (see :func:`weighted_total`), under ``cap`` as ``smart_count``."""
-    _check_vertices(g, v)
+    check_vertices(g, (v,))
     w = [1] * g.n
     weighted_total(g, blocks(g, v), w, cap)
     return RootedCount(w[v])
@@ -227,7 +225,7 @@ def smart_count_pair(g: Graph, u: int, v: int, cap: int | None = None) -> int:
     """Count of connected sets through both ``u`` and ``v``: the count
     through ``u`` less the count through ``u`` where ``v`` weighs 0, from
     two block passes started at ``u`` (see :func:`weighted_total`)."""
-    _check_vertices(g, u, v)
+    _check_pair(g, u, v)
     w = [1] * g.n
     w[v] = 0
     weighted_total(g, blocks(g, u), w, cap)

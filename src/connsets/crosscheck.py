@@ -19,7 +19,7 @@ numbers in closed form).
 
 **The guard** (:func:`labeled_bicyclic_classes`), which the generator's
 stream (:mod:`connsets.enumeration`) runs on its own classes at every
-n <= ``MAX_CROSSCHECK_N``.  It relabels
+n <= ``LABELLED_GUARD_N``.  It relabels
 each graph degree-sorted, forms its S_d orbit and checks that
 
 * the graph has n vertices, n + 1 edges and is connected;
@@ -69,10 +69,8 @@ import math
 from functools import lru_cache
 
 from .canon import canonical_certificate
-from .errors import ContractViolationError, ResourceCapError
+from .errors import LABELLED_GUARD_N, ContractViolationError, ResourceCapError
 from .graphs import Graph, is_connected, to_graph6
-
-MAX_CROSSCHECK_N = 8
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -202,9 +200,9 @@ def _sweep_error(n: int, rep: int, what: str) -> ContractViolationError:
 
 
 def _check_order(n: int) -> None:
-    if not 4 <= n <= MAX_CROSSCHECK_N:
+    if not 4 <= n <= LABELLED_GUARD_N:
         raise ResourceCapError(
-            f"labelled cross-check supports 4 <= n <= {MAX_CROSSCHECK_N}, got {n}"
+            f"labelled cross-check supports 4 <= n <= {LABELLED_GUARD_N}, got {n}"
         )
 
 

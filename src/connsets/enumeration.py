@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .canon import automorphism_group, canonical_certificate
 from .counting import weighted_total
-from .errors import ContractViolationError, ResourceCapError
+from .errors import LABELLED_GUARD_N, ContractViolationError, ResourceCapError
 from .families import FamilySpec, build
 from .graphs import (
     Graph,
@@ -55,11 +55,6 @@ from .graphs import (
 
 DEFAULT_BICYCLIC_CAP = 11
 DEFAULT_TREE_CAP = 10
-
-# Largest order where the stream ends with the labelled guard
-# (crosscheck.labeled_bicyclic_classes): crosscheck.MAX_CROSSCHECK_N, named
-# here so that runs above it never import the guard.
-LABELLED_GUARD_N = 8
 
 # Unlabelled connected bicyclic graphs per order (OEIS A001429).
 _BICYCLIC_CLASSES = {

@@ -4,12 +4,16 @@ Every error carries a human-readable message naming the violated rule so
 that callers (and the command line front end) can report precisely what
 went wrong.  The command line maps each class to one exit code:
 ``ContractViolationError`` 3, ``ResourceCapError`` 4, ``FormatError`` 5.
-The module also holds ``DEFAULT_ORACLE_CAP``, the default size cap behind
-``ResourceCapError``, so that the command line can name it in its help
-without loading a layer.
+The module also holds two limits, so that a caller can name them without
+loading the layer that enforces them: ``DEFAULT_ORACLE_CAP``, the default
+size cap behind ``ResourceCapError``, and ``LABELLED_GUARD_N``.
 """
 
 DEFAULT_ORACLE_CAP = 24
+
+# Largest order of the labelled guard (crosscheck.labeled_bicyclic_classes),
+# which the generator's stream runs up to it and never imports above it.
+LABELLED_GUARD_N = 8
 
 
 class ConnsetsError(Exception):

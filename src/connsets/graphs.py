@@ -142,6 +142,13 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count})"
 
 
+def check_vertices(g: Graph, vs: Iterable[int]) -> None:
+    """Each of ``vs`` is a vertex of ``g``; the first that is not is named."""
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
+
+
 def _check_subset(g: Graph, s: int, what: str = "vertex set") -> None:
     if s & ~g.vertex_mask:
         raise ContractViolationError(f"{what} mentions vertices outside 0..{g.n - 1}")

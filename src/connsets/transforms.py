@@ -21,7 +21,7 @@ from .counting import smart_count_pair, smart_count_rooted
 from .enumeration import extract_core, pendant_free_core
 from .errors import ContractViolationError
 from .families import E_NAMES, KINDS, FamilySpec, build
-from .graphs import Graph, bits, is_connected, pendant_vertices
+from .graphs import Graph, bits, check_vertices, is_connected, pendant_vertices
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ def annotate_family(g: Graph) -> str | None:
 def _check_hanging_cycle(g: Graph, cycle: int, anchor: int, min_size: int) -> int:
     """Validate that ``cycle`` induces a chordless cycle meeting the rest
     of the graph only at ``anchor``; returns its length."""
-    for v in (anchor, *bits(cycle & ~g.vertex_mask)):
-        if not 0 <= v < g.n:
-            raise ContractViolationError(f"vertex {v} out of range for n={g.n}")
+    check_vertices(g, (anchor, *bits(cycle & ~g.vertex_mask)))
     q = cycle.bit_count()
     if not cycle >> anchor & 1:
         raise ContractViolationError("anchor must lie on the designated cycle")

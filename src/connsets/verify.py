@@ -4,14 +4,16 @@ Each sweep enumerates every relevant graph, evaluates exact counts, and
 compares against the closed forms.  The bicyclic corpora come from the
 generators of :mod:`connsets.enumeration`, which prove each one
 exhaustive before it ends; nothing here guards them again.  The minimum
-and maximum sweeps count with the block pass and have the oracle recount
-the classes their verdicts read: up to ``LABELLED_GUARD_N`` every class,
-each a graph counted by ``smart_count``; above it, each class is counted
-from its attachment key (``generate_counted_keys``), and a graph is
-built only for the classes a verdict reads.  All pass/fail decisions
-are integer-exact; nothing passes on approximate equality.  Reports are
-plain data, deterministic for a given (claim, n, seed), and serialise to
-JSON and a one-line CSV summary.
+and maximum sweeps count with the block pass, and the oracle recounts
+every class a verdict reads.  Up to ``LABELLED_GUARD_N`` every class is
+a graph counted by ``smart_count`` and recounted.  Above it, each class
+is counted from its attachment key (``generate_counted_keys``) as the
+stream passes, and the sweep keeps only the classes at the counts a
+verdict reads, the least and the two largest; a graph is built only for
+a kept key.  All pass/fail decisions are integer-exact; nothing passes
+on approximate equality.  Reports are plain data, deterministic for a
+given (claim, n, seed), and serialise to JSON and a one-line CSV
+summary.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .canon import canonical_certificate
 from .counting import (
@@ -34,14 +35,13 @@ from .counting import (
     tree_rooted_count,
 )
 from .enumeration import (
-    LABELLED_GUARD_N,
     enumerate_bicyclic,
     enumerate_trees,
     generate_bicyclic,
     generate_counted_keys,
     graph_from_key,
 )
-from .errors import ContractViolationError
+from .errors import LABELLED_GUARD_N, ContractViolationError
 from .families import KINDS, FamilySpec, build, closed_form, e_graph_reference
 from .graphs import Graph, to_graph6
 from .transforms import annotate_family, branch_shift, glue_at
@@ -123,44 +123,44 @@ def _total(g: Graph) -> int:
     return oracle_count(g).total
 
 
-def _checked_counts(n: int, cap: int | None) -> tuple[list[int], Callable[[int], Graph]]:
-    """Counts of the guarded corpus, cross-checked by the oracle, and
-    the class at each index as a ``Graph``.
+def _checked_counts(n: int, cap: int | None) -> tuple[int, dict[int, list[Graph]]]:
+    """The number of classes in the guarded corpus, and the classes at
+    each count a verdict reads, as ``Graph``s the oracle has recounted.
 
     The generator guards the corpus on every route.  Up to
     ``LABELLED_GUARD_N`` each graph is counted by the block pass
-    (``smart_count``), and the oracle recounts every class.  Above that
-    the corpus is ``generate_counted_keys``: each class is counted from
-    its attachment key by the block pass on its core, and a graph is
-    built from a key only when asked for.  The oracle recounts the classes
-    at the least count and at the two largest, the only ones a verdict of
-    the minimum or maximum sweep reads.  A disagreement is a contract
-    violation naming the class.
+    (``smart_count``), the oracle recounts every class, and every count
+    is kept.  Above that the corpus is ``generate_counted_keys``: each
+    class is counted from its attachment key by the block pass on its
+    core, and the sweep keeps the keys of the least count and of the two
+    largest seen so far, the only ones a verdict of the minimum or
+    maximum sweep reads; a graph is built only for a kept key.  A
+    disagreement with the oracle is a contract violation naming the class.
     """
     if n <= LABELLED_GUARD_N:
         # enumerate_bicyclic, not the stream, only because
         # perfbench/selftest.py reads enumeration.classes from its trace.
         graphs = enumerate_bicyclic(n, cap)
-        counts = [smart_count(g).total for g in graphs]
-        graph = graphs.__getitem__
-        read = set(counts)
+        classes = len(graphs)
+        counted = [(g, smart_count(g).total) for g in graphs]
     else:
-        keyed = list(generate_counted_keys(n, cap))
-        counts = [count for _, count in keyed]
-
-        def graph(i: int) -> Graph:
-            return graph_from_key(keyed[i][0])
-
-        read = {min(counts), *sorted(set(counts))[-2:]}
-    picked = [i for i, c in enumerate(counts) if c in read]
-    recount = [graph(i) for i in picked]
-    for i, g, truth in zip(picked, recount, count_stream(recount)):
-        if counts[i] != truth:
+        kept: dict[int, list] = {}
+        classes = 0
+        for key, count in generate_counted_keys(n, cap):
+            classes += 1
+            kept.setdefault(count, []).append(key)
+            if len(kept) > 3:
+                # A count between the least and the two largest is never read.
+                del kept[sorted(kept)[1]]
+        counted = [(graph_from_key(k), count) for count, keys in kept.items() for k in keys]
+    groups: dict[int, list[Graph]] = {}
+    for (g, count), truth in zip(counted, count_stream([g for g, _ in counted])):
+        if count != truth:
             raise ContractViolationError(
-                f"block pass counts {counts[i]} and oracle {truth} "
-                f"on {to_graph6(g)} at n={n}"
+                f"block pass counts {count} and oracle {truth} on {to_graph6(g)} at n={n}"
             )
-    return counts, graph
+        groups.setdefault(count, []).append(g)
+    return classes, groups
 
 
 def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
@@ -171,10 +171,10 @@ def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
     """
     if n < 5:
         raise ContractViolationError("the minimum sweep starts at n = 5")
-    counts, graph = _checked_counts(n, cap)
-    lo = min(counts)
-    attainers = _attainers(graph(i) for i, c in enumerate(counts) if c == lo)
-    expected_min = (n + 6) * (n - 1) // 2
+    classes, groups = _checked_counts(n, cap)
+    lo = min(groups)
+    attainers = _attainers(groups[lo])
+    expected_min = closed_form(FamilySpec("L", (n,)))
     # str() so that an unnamed attainer (family None) sorts and fails.
     families = sorted(str(a["family"]) for a in attainers)
     expected_families = ["A5", "L5"] if n == 5 else [f"L{n}"]
@@ -188,7 +188,7 @@ def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
             "min_formula": "(n+6)(n-1)/2",
             "minimisers": "{L5, A5}" if n == 5 else f"L{n} (unique)",
         },
-        observed={"min": lo, "minimiser_count": len(attainers), "classes": len(counts)},
+        observed={"min": lo, "minimiser_count": len(attainers), "classes": classes},
         attainers=attainers,
         status=status,
     )
@@ -205,21 +205,21 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
     """
     if n < 5:
         raise ContractViolationError("the maximum sweep starts at n = 5")
-    counts, graph = _checked_counts(n, cap)
-    hi = max(counts)
-    attainers = _attainers(graph(i) for i, c in enumerate(counts) if c == hi)
-    second = max((c for c in counts if c != hi), default=0)
-    runners_up = [graph(i) for i, c in enumerate(counts) if c == second]
+    classes, groups = _checked_counts(n, cap)
+    hi = max(groups)
+    attainers = _attainers(groups[hi])
+    second = max((c for c in groups if c != hi), default=0)
+    runners_up = groups.get(second, [])
     if n < 8:
         expected: dict[str, object] = {"scope": "informational below n = 8"}
         status = INFORMATIONAL
         notes: tuple[str, ...] = ("the extremal statement applies from n = 8 on",)
     else:
         expected = {
-            "max": n + 2 + (1 << (n - 1)),
+            "max": closed_form(FamilySpec("B", (n,))),
             "max_formula": "n+2+2^(n-1)",
             "maximiser": f"B{n} (unique)",
-            "runner_up_bound": n + 1 + (1 << (n - 1)),
+            "runner_up_bound": closed_form(FamilySpec("R", (n,))),
             "runner_up_formula": "n+1+2^(n-1)",
         }
         holds = (
@@ -240,7 +240,7 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
             "maximiser_count": len(attainers),
             "second_max": second,
             "second_attainers": len(runners_up),
-            "classes": len(counts),
+            "classes": classes,
         },
         attainers=attainers,
         status=status,

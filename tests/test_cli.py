@@ -141,6 +141,16 @@ _PINNED_STDOUT = {
     ("enumerate", "--n", "8", "--format", "csv"): (
         "91759a82af1d525b08eb50b73158ae4f6dc8dd3e9f5cb96e0ed17809b314954e"
     ),
+    # The keyed sweeps above n = 8; ``verify all`` reaches only n = 10.
+    ("verify", "min", "--n", "11"): (
+        "0bca3b84d62c7c5a4897ac0666bc84d8d88a63358f9e1ecb509829133621c3a7"
+    ),
+    ("verify", "max", "--n", "11"): (
+        "28c2e0cadc34ebbd37b1060345070cfe9d5a8a0b174486c77ab8c9c9d2eb7be4"
+    ),
+    ("verify", "max", "--n", "12", "--cap", "12"): (
+        "57240e65b211412ec6421956a5b2dca2e1dba95979b8fb701a0f690518fc2f44"
+    ),
     ("verify", "tree-bound", "--n", "10"): (
         "b2c0ddf5bb20b206a2434b448240e72af83df34a8e9a39f275b671085a1a5118"
     ),
@@ -667,9 +677,10 @@ def test_failed_verify_exits_1_and_names_the_claim(capsys, monkeypatch):
     real = verify_mod._checked_counts
 
     def lowered(n, cap):
-        counts, graph = real(n, cap)
-        second = sorted(set(counts))[-2]
-        return [c - 1 if c == second else c for c in counts], graph
+        classes, groups = real(n, cap)
+        second = sorted(groups)[-2]
+        groups[second - 1] = groups.pop(second)
+        return classes, groups
 
     monkeypatch.setattr(verify_mod, "_checked_counts", lowered)
     code, out, err = run(capsys, "verify", "max", "--n", "8")
@@ -693,7 +704,7 @@ def test_cli_import_keeps_numpy_out():
 
 
 def test_verify_above_the_guard_keeps_numpy_out():
-    # Above MAX_CROSSCHECK_N the labelled guard does not run, so neither it
+    # Above LABELLED_GUARD_N the labelled guard does not run, so neither it
     # nor numpy is imported, on any route through the generator.
     probe = (
         "import contextlib, io, sys\n"

@@ -39,6 +39,7 @@ from connsets.enumeration import (
     pendant_free_core,
     rooted_tree_level_sequences,
 )
+from connsets.errors import LABELLED_GUARD_N
 from connsets.families import FamilySpec, build
 from connsets.graphs import subgraph, to_graph6
 
@@ -404,7 +405,7 @@ def test_young_permutations_preserve_the_degree_sequence():
     import itertools
     import math
 
-    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
+    for n in range(4, LABELLED_GUARD_N + 1):
         for d in crosscheck._degree_sequences(n):
             perms = crosscheck._young_permutations(d)
             order = math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(d))
@@ -581,7 +582,7 @@ def test_labeled_sweep_checks_the_mass_against_the_labelled_count(monkeypatch):
 def test_labelled_guard_orbit_sizes_match_the_reference_sweep():
     # Per generated class, the guard's n!/|Aut| is the reference sweep's
     # orbit size for the class with the same certificate.
-    for n in range(4, crosscheck.MAX_CROSSCHECK_N + 1):
+    for n in range(4, LABELLED_GUARD_N + 1):
         graphs = enumerate_bicyclic(n)
         guard = labeled_bicyclic_classes(n, graphs)
         assert [graph6 for graph6, _ in guard] == [to_graph6(g) for g in graphs], n
