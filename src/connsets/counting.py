@@ -5,10 +5,13 @@ set from its lowest vertex, so its cost is proportional to the number of
 sets it counts, and sums a product of vertex weights over them.  The
 oracle, the ground truth of the whole package, runs it with every weight
 1.  The block pass (``weighted_total``, behind the ``smart_count*``
-functions and the keyed count of :mod:`connsets.enumeration`) runs it,
-weighted, on the blocks of G that are neither a bridge nor a cycle, and
-leaves the count through its start vertex in that vertex's weight; it is
-checked against the oracle, as are closed forms and identification algebra.
+functions, the fast counter for graphs) runs it, weighted, on the blocks
+of G that are neither a bridge nor a cycle, and leaves the count through
+its start vertex in that vertex's weight; it is checked against the
+oracle, as are closed forms and identification algebra.  The keyed count
+of :mod:`connsets.enumeration` runs it with every weight 1 on a bicyclic
+core, through each set of required vertices, and keeps those per-core
+through-counts for every key on that core.
 
 Counts of disconnected graphs are defined as the sum over components, the
 convention that makes the vertex-deletion identities total.

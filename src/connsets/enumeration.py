@@ -12,8 +12,10 @@ so each class is generated exactly once.
 
 The generation yields attachment keys ``(core, sizes, shapes)``, and
 three routes read it.  ``generate_counted_keys`` streams the keys in
-generation order with each class's count, read off the key: the block
-pass on the core, each core vertex weighted by its tree's rooted count.
+generation order with each class's count, read off the key: the trees'
+rooted counts times the core's through-counts, the number of connected
+core sets through each set of tree roots, which the one include/exclude
+search of :mod:`connsets.counting` gives once per core and root set.
 ``generate_bicyclic`` builds each key's graph (:func:`graph_from_key`)
 and streams those, in the same order, with no certificate built.
 ``enumerate_bicyclic`` canonicalises every graph, sorts by certificate
@@ -39,7 +41,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .canon import automorphism_group, canonical_certificate
-from .counting import weighted_total
+from .counting import _connected_subsets, weighted_total
 from .errors import LABELLED_GUARD_N, ContractViolationError, ResourceCapError
 from .families import FamilySpec, build
 from .graphs import (
@@ -282,15 +284,17 @@ def _with_attachments(
     """
     m = core.n
     identity = tuple(range(m))
-    others = [sigma for sigma in automorphisms if sigma != identity]
+    # sigma(t) is the tuple (t[sigma[0]], ..., t[sigma[m-1]]); a core has
+    # at least four vertices, so itemgetter returns a tuple.
+    others = [itemgetter(*sigma) for sigma in automorphisms if sigma != identity]
     for sizes in _compositions(extra, m):
-        images = [tuple(sizes[i] for i in sigma) for sigma in others]
+        images = [sigma(sizes) for sigma in others]
         if any(img < sizes for img in images):
             continue
         fixing = [sigma for sigma, img in zip(others, images) if img == sizes]
         choices = [range(len(_rooted_trees(s + 1))) for s in sizes]
         for shapes in itertools.product(*choices):
-            if any(tuple(shapes[i] for i in sigma) < shapes for sigma in fixing):
+            if any(sigma(shapes) < shapes for sigma in fixing):
                 continue
             yield core, sizes, shapes
 
@@ -479,20 +483,44 @@ def _tree_counts(size: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _key_count(key: Key, core_blocks: list[tuple[int, int]]) -> int:
+def _key_count(key: Key, through: dict[int, int]) -> int:
     """N(G) for the graph of ``key``, built from the core alone.
 
     A connected set of G either meets the core, in a connected core set S
     with a rooted subtree of T_c at each c in S, or lies in one T_c
-    without c.  So N(G) is the core's weighted total with w_c = r_c, plus
-    the sum of N(T_c) - r_c (Szekely and Wang, *On subtrees of trees*,
-    2005, count subtrees by the same product over children).
+    without c (Szekely and Wang, *On subtrees of trees*, 2005, count
+    subtrees by the same product over children).  So
+
+        N(G) = sum_S prod_{c in S} r_c + sum_c (N(T_c) - r_c).
+
+    Writing each r_c as 1 + (r_c - 1) and multiplying out over S gives
+
+        sum_S prod_{c in S} r_c = sum_{A <= roots} M(A) prod_{c in A} (r_c - 1),
+
+    where the roots are the core vertices that carry a tree (r_c = 1
+    elsewhere) and M(A) is the number of connected core sets through
+    every vertex of A; M of the empty set is N(core).  ``through`` maps
+    each mask A to M(A) for one core: each M(A) is counted by the one
+    include/exclude search the first time a key needs it, and read from
+    the dict by every later key on that core.
     """
     core, sizes, shapes = key
-    pairs = [_tree_counts(size + 1)[shape] for size, shape in zip(sizes, shapes)]
-    weights = [rooted for _, rooted in pairs]
-    hanging = sum(total - rooted for total, rooted in pairs)
-    return weighted_total(core, core_blocks, weights, None) + hanging
+    terms = [(0, 1)]  # (A, prod_{c in A} (r_c - 1)) over the subsets A
+    hanging = 0
+    for c, (size, shape) in enumerate(zip(sizes, shapes)):
+        if size:
+            total, rooted = _tree_counts(size + 1)[shape]
+            hanging += total - rooted
+            terms += [(mask | 1 << c, prod * (rooted - 1)) for mask, prod in terms]
+    count = hanging
+    for mask, prod in terms:
+        sets = through.get(mask)
+        if sets is None:
+            sets = through[mask] = _connected_subsets(
+                core.adj, core.vertex_mask, [1] * core.n, mask
+            )
+        count += sets * prod
+    return count
 
 
 def generate_counted_keys(n: int, cap: int | None = None) -> Iterator[tuple[Key, int]]:
@@ -501,17 +529,19 @@ def generate_counted_keys(n: int, cap: int | None = None) -> Iterator[tuple[Key,
     the graph, and ``count`` is its number of connected sets.
 
     The order is checked at the call, and the keys pass every check of
-    ``generate_bicyclic``'s stream.  ``blocks`` runs once per core.
+    ``generate_bicyclic``'s stream.  Each core's through-counts are
+    searched once, by the first of its keys that needs them (see
+    :func:`_key_count`).
     """
     _check_order(n, cap)
     return _counted(n)
 
 
 def _counted(n: int) -> Iterator[tuple[Key, int]]:
-    for core, keys in itertools.groupby(_guarded_stream(n), key=itemgetter(0)):
-        core_blocks = blocks(core)
+    for _, keys in itertools.groupby(_guarded_stream(n), key=itemgetter(0)):
+        through: dict[int, int] = {}
         for key in keys:
-            yield key, _key_count(key, core_blocks)
+            yield key, _key_count(key, through)
 
 
 def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:

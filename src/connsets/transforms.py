@@ -36,8 +36,14 @@ class TransformOutcome:
 
 
 def annotate_family(g: Graph) -> str | None:
-    """Name of the named-family graph ``g`` matches, if any."""
+    """Name of the named-family graph ``g`` matches, if any.
+
+    A candidate whose sorted degree sequence differs from ``g``'s cannot
+    match and is never canonicalised; certificate equality decides the
+    rest.
+    """
     cert = canonical_certificate(g)
+    degrees = sorted(g.degrees())
     candidates = [
         FamilySpec(kind, (g.n,))
         for kind in ("L", "A", "B", "R")
@@ -46,7 +52,7 @@ def annotate_family(g: Graph) -> str | None:
     candidates.extend(FamilySpec(name) for name in E_NAMES)
     for spec in candidates:
         built = build(spec)
-        if built.n == g.n and canonical_certificate(built) == cert:
+        if sorted(built.degrees()) == degrees and canonical_certificate(built) == cert:
             if spec.kind in E_NAMES:
                 return spec.kind
             return f"{spec.kind}{spec.params[0]}"

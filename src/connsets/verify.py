@@ -131,11 +131,12 @@ def _checked_counts(n: int, cap: int | None) -> tuple[int, dict[int, list[Graph]
     ``LABELLED_GUARD_N`` each graph is counted by the block pass
     (``smart_count``), the oracle recounts every class, and every count
     is kept.  Above that the corpus is ``generate_counted_keys``: each
-    class is counted from its attachment key by the block pass on its
-    core, and the sweep keeps the keys of the least count and of the two
-    largest seen so far, the only ones a verdict of the minimum or
-    maximum sweep reads; a graph is built only for a kept key.  A
-    disagreement with the oracle is a contract violation naming the class.
+    class is counted from its attachment key and its core's
+    through-counts, and the sweep keeps the keys of the least count and
+    of the two largest seen so far, the only ones a verdict of the
+    minimum or maximum sweep reads; a graph is built only for a kept
+    key.  A disagreement with the oracle is a contract violation naming
+    the class.
     """
     if n <= LABELLED_GUARD_N:
         # enumerate_bicyclic, not the stream, only because
@@ -157,7 +158,7 @@ def _checked_counts(n: int, cap: int | None) -> tuple[int, dict[int, list[Graph]
     for (g, count), truth in zip(counted, count_stream([g for g, _ in counted])):
         if count != truth:
             raise ContractViolationError(
-                f"block pass counts {count} and oracle {truth} on {to_graph6(g)} at n={n}"
+                f"the sweep counts {count} and oracle {truth} on {to_graph6(g)} at n={n}"
             )
         groups.setdefault(count, []).append(g)
     return classes, groups
@@ -166,8 +167,8 @@ def _checked_counts(n: int, cap: int | None) -> tuple[int, dict[int, list[Graph]
 def verify_minimum(n: int, cap: int | None = None) -> VerificationReport:
     """Smallest count over all n-vertex bicyclic graphs and its attainers.
 
-    Counts come from :func:`_checked_counts`: the block pass, with the
-    oracle recounting every attainer.
+    Counts come from :func:`_checked_counts`: the block pass or the
+    keyed count, with the oracle recounting every attainer.
     """
     if n < 5:
         raise ContractViolationError("the minimum sweep starts at n = 5")
@@ -201,7 +202,8 @@ def verify_maximum(n: int, cap: int | None = None) -> VerificationReport:
     runner-up, at the closed-form values.  For 5 <= n < 8 the sweep
     reports what it sees without judging it (the extremal statement is
     scoped to n >= 8).  Counts come from :func:`_checked_counts`: the
-    block pass, with the oracle recounting every maximiser and runner-up.
+    block pass or the keyed count, with the oracle recounting every
+    maximiser and runner-up.
     """
     if n < 5:
         raise ContractViolationError("the maximum sweep starts at n = 5")

@@ -241,13 +241,16 @@ def test_smart_count_equals_oracle_everywhere():
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 12), connected=True)
         assert smart_count(g).total == oracle_count(g).total
-    # Every class up to n = 10, by the block pass on the graph and on the
+    # Every class up to n = 11, by the block pass on the graph and on the
     # generation key: above n = 8, verify reads the oracle only on the
     # classes at the extreme counts and trusts the keyed count on the rest.
-    for n in range(4, 11):
+    # n = 11 forms cores and root sets that n <= 10 never does; the oracle
+    # stays at n <= 10 for time.
+    for n in range(4, 12):
         keyed = generate_counted_keys(n, n)
         for g, (_, count) in zip(generate_bicyclic(n, n), keyed, strict=True):
-            assert smart_count(g).total == count == oracle_count(g).total
+            assert smart_count(g).total == count
+            assert n > 10 or count == oracle_count(g).total
     for n in range(1, 9):
         for t in enumerate_trees(n):
             assert smart_count(t).total == oracle_count(t).total
@@ -265,6 +268,25 @@ def test_smart_count_equals_oracle_everywhere():
                       if a == new[i - 1] or rng.random() < 0.6]
         g = Graph.from_edges(n, edges)
         assert smart_count(g).total == oracle_count(g).total
+
+
+def test_keyed_count_searches_each_root_set_once_per_core(monkeypatch):
+    # Every count the keyed stream makes is the include/exclude search of
+    # one core through one set of tree roots, made once for that core.
+    import connsets.counting as counting
+    import connsets.enumeration as enumeration
+
+    real = counting._connected_subsets
+    searches = []
+
+    def searched(adj, domain, weight, required=0):
+        searches.append((adj, required))
+        return real(adj, domain, weight, required)
+
+    monkeypatch.setattr(counting, "_connected_subsets", searched)
+    monkeypatch.setattr(enumeration, "_connected_subsets", searched)
+    keyed = list(generate_counted_keys(9, 9))
+    assert len(set(searches)) == len(searches) < len(keyed)
 
 
 def test_weighted_search_equals_a_subset_scan():

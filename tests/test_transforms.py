@@ -13,8 +13,9 @@ from connsets import (
     oracle_count,
 )
 from connsets.enumeration import enumerate_bicyclic, pendant_free_core
-from connsets.families import FamilySpec, build
+from connsets.families import E_NAMES, KINDS, FamilySpec, build
 from connsets.transforms import (
+    annotate_family,
     branch_shift,
     cycle_to_tadpole,
     glue_at,
@@ -33,6 +34,34 @@ def N(g: Graph) -> int:
 # {0, p..p+q-2}; dumbbell(p, q, r) for r >= 2 puts the hubs at 0 and 1.
 def second_ring(p: int, q: int) -> int:
     return mask_of([0] + list(range(p, p + q - 1)))
+
+
+def test_annotate_family_names_every_family_graph(monkeypatch):
+    import connsets.transforms as transforms
+
+    rng = random.Random(7)
+    named = [
+        (FamilySpec(kind, (n,)), f"{kind}{n}")
+        for kind in ("L", "A", "B", "R")
+        for n in range(KINDS[kind].lows[0], 13)
+    ] + [(FamilySpec(name), name) for name in E_NAMES]
+    for spec, name in named:
+        g = build(spec)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert annotate_family(g) == annotate_family(g.relabel(tuple(perm))) == name
+    # Outside the families: dumbbell(3, 4, 2) shares L7's degree sequence,
+    # so only the certificates tell them apart.
+    assert annotate_family(build(FamilySpec("dumbbell", (3, 4, 2)))) is None
+    assert annotate_family(build(FamilySpec("theta", (3, 4, 5)))) is None
+    # A candidate with another degree sequence is never canonicalised: at
+    # n = 10 the four families' sequences differ, so naming B10 takes the
+    # certificates of B10 and of the graph alone.
+    calls = []
+    real = transforms.canonical_certificate
+    monkeypatch.setattr(transforms, "canonical_certificate", lambda g: calls.append(g) or real(g))
+    assert annotate_family(build(FamilySpec("B", (10,)))) == "B10"
+    assert len(calls) == 2
 
 
 def test_cycle_to_tadpole_figure_pair():
