@@ -4,10 +4,16 @@ The certificate of a graph is a plain ``str``, the graph6 encoding of a
 canonical relabelling, chosen as the lexicographically smallest
 upper-triangle bit string over all labellings compatible with an
 equitable partition refinement.  The search individualises one vertex of the first
-non-singleton cell at a time, re-refines, and prunes branches that are
-images of already-explored ones under automorphisms discovered along the
-way.  This is exact (never heuristic): two graphs receive equal
-certificates if and only if they are isomorphic.
+non-singleton cell at a time and re-refines.  A leaf whose code ties the
+best yields an automorphism, and two rules prune by those met so far.
+Orbit pruning: each node merges every automorphism that fixes its
+individualised vertices, once, into a union-find over its target cell,
+and skips a child that is not the least vertex of its orbit.
+Backjumping: the automorphism from a tied leaf maps the best leaf's
+branch onto the tied one below their deepest common ancestor, so the
+search returns straight to that ancestor.  This is exact (never
+heuristic): two graphs receive equal certificates if and only if they
+are isomorphic.
 
 The same search yields the automorphism group: since it prunes only by
 automorphisms it has met, those it meets generate the whole group
@@ -80,14 +86,28 @@ def _canonical_perm(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
 
     best_code: int | None = None
     best_perm: list[int] | None = None
+    best_path: list[int] = []
     automorphisms: list[tuple[int, ...]] = []
 
-    def orbit_reps(cell: list[int], fixed: list[int]) -> list[int]:
-        usable = [
-            a for a in automorphisms if all(a[x] == x for x in fixed)
-        ]
-        if not usable:
-            return cell
+    def descend(cells: list[list[int]], fixed: list[int]) -> int:
+        # Returns the depth to resume at: below len(fixed) jumps back.
+        nonlocal best_code, best_perm, best_path
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            perm = [c[0] for c in cells]
+            code = _encode(adj, perm)
+            if best_code is None or code < best_code:
+                best_code, best_perm, best_path = code, perm, fixed
+            elif code == best_code and best_perm is not None:
+                sigma = [0] * n
+                for i in range(n):
+                    sigma[best_perm[i]] = perm[i]
+                automorphisms.append(tuple(sigma))
+                # Backjump to the deepest common ancestor with the best leaf.
+                return next(i for i, u in enumerate(fixed) if u != best_path[i])
+            return len(fixed)
+        cell = cells[target]
+        # Orbit pruning: merge each automorphism fixing ``fixed`` once.
         parent = {v: v for v in cell}
 
         def find(x: int) -> int:
@@ -96,38 +116,22 @@ def _canonical_perm(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
                 x = parent[x]
             return x
 
-        for a in usable:
-            for v in cell:
-                w = a[v]
-                if w in parent:
-                    ra, rb = find(v), find(w)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-        return [v for v in cell if find(v) == v]
-
-    def descend(cells: list[list[int]], fixed: list[int]) -> None:
-        nonlocal best_code, best_perm
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            perm = [c[0] for c in cells]
-            code = _encode(adj, perm)
-            if best_code is None or code < best_code:
-                best_code, best_perm = code, perm
-            elif code == best_code and best_perm is not None:
-                sigma = [0] * n
-                for i in range(n):
-                    sigma[best_perm[i]] = perm[i]
-                automorphisms.append(tuple(sigma))
-            return
-        cell = cells[target]
+        merged = 0
         for v in cell:
-            # Re-derive orbits each time: automorphisms found in earlier
-            # siblings prune later ones.
-            if v not in orbit_reps(cell, fixed):
+            for a in automorphisms[merged:]:
+                if all(a[x] == x for x in fixed):
+                    for u in cell:
+                        ra, rb = find(u), find(a[u])
+                        if ra != rb:
+                            parent[max(ra, rb)] = min(ra, rb)
+            merged = len(automorphisms)
+            if find(v) != v:
                 continue
             rest = [u for u in cell if u != v]
             branch = cells[:target] + [[v], rest] + cells[target + 1 :]
-            descend(_refine(adj, branch), fixed + [v])
+            if (depth := descend(_refine(adj, branch), fixed + [v])) < len(fixed):
+                return depth
+        return len(fixed)
 
     descend(initial, [])
     assert best_perm is not None

@@ -39,10 +39,10 @@ def annotate_family(g: Graph) -> str | None:
     """Name of the named-family graph ``g`` matches, if any.
 
     A candidate whose sorted degree sequence differs from ``g``'s cannot
-    match and is never canonicalised; certificate equality decides the
-    rest.
+    match and is never canonicalised, nor is ``g`` until one candidate's
+    sequence equals its own; certificate equality decides the rest.
     """
-    cert = canonical_certificate(g)
+    cert = None
     degrees = sorted(g.degrees())
     candidates = [
         FamilySpec(kind, (g.n,))
@@ -52,7 +52,10 @@ def annotate_family(g: Graph) -> str | None:
     candidates.extend(FamilySpec(name) for name in E_NAMES)
     for spec in candidates:
         built = build(spec)
-        if sorted(built.degrees()) == degrees and canonical_certificate(built) == cert:
+        if sorted(built.degrees()) != degrees:
+            continue
+        cert = cert or canonical_certificate(g)
+        if canonical_certificate(built) == cert:
             if spec.kind in E_NAMES:
                 return spec.kind
             return f"{spec.kind}{spec.params[0]}"

@@ -1,13 +1,16 @@
 """Exactness of the canonical certificates."""
 
+import hashlib
 import itertools
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsets import Graph, canonical_certificate, is_isomorphic
 from connsets.canon import automorphism_group, canonical_form
+from connsets.enumeration import enumerate_trees, generate_bicyclic
 from connsets.families import FamilySpec, build
 from connsets.graphs import from_graph6, to_graph6
 
@@ -78,6 +81,31 @@ def test_highly_symmetric_graphs_stay_fast():
     perm = list(range(8))
     rng.shuffle(perm)
     assert canonical_certificate(k44) == canonical_certificate(k44.relabel(tuple(perm)))
+    # Each sibling merges the automorphisms met since the last one, and a
+    # leaf that ties the best jumps back to their common ancestor: a star
+    # on 24 vertices and B_40 each take well under a second.
+    canonical_form.cache_clear()
+    for g in (star_graph(24), build(FamilySpec("B", (40,)))):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        certs = set()
+        for h in (g, g.relabel(tuple(perm))):
+            start = time.perf_counter()
+            certs.add(canonical_certificate(h))
+            assert time.perf_counter() - start < 1.0, g.n
+        assert len(certs) == 1
+
+
+def test_certificates_are_pinned():
+    # sha256 of the sorted certificates of every bicyclic class at n = 9
+    # and every free tree on at most 10 vertices: a change to the search
+    # that moves any certificate fails here.
+    graphs = list(generate_bicyclic(9)) + [t for n in range(1, 11) for t in enumerate_trees(n)]
+    text = "\n".join(sorted(canonical_certificate(g) for g in graphs))
+    assert (len(graphs), hashlib.sha256(text.encode()).hexdigest()) == (
+        998,
+        "06ce4c4eca94a96c9db993a4c5530028fcc74ab12598b041c07b6321dba39199",
+    )
 
 
 @st.composite

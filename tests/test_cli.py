@@ -167,6 +167,14 @@ _PINNED_STDOUT = {
         "--mid", "E]`G", "--mid-u", "0", "--mid-v", "4",
         "--right", "C{", "--right-vertex", "3",
     ): "890fb0e0b81c8471f9a077381a84113d4900bdab9d9a86c7e418e8cac5d21d0a",
+    # Results that annotate_family names as R28 and B40: the canonical
+    # search on these used to take seconds to minutes.
+    ("transform", "part-to-q", "--family", "typeII:3,26", "--cycle", "0,1,2", "--anchor", "0"): (
+        "d1cadea5a5c5e30d4a0f72c8930e501b73645c4bb6ce3f609e1b164c15a15252"
+    ),
+    ("transform", "subtree-to-star", "--family", "B:40", "--root", "0"): (
+        "c10c2b38eac09de73d4335da5a22835602db0e534cc8f2e7da7a709166772e48"
+    ),
 }
 
 

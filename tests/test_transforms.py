@@ -62,6 +62,10 @@ def test_annotate_family_names_every_family_graph(monkeypatch):
     monkeypatch.setattr(transforms, "canonical_certificate", lambda g: calls.append(g) or real(g))
     assert annotate_family(build(FamilySpec("B", (10,)))) == "B10"
     assert len(calls) == 2
+    # Nor is the graph itself when no candidate shares its sequence.
+    calls.clear()
+    assert annotate_family(build(FamilySpec("typeII", (4, 5)))) is None
+    assert calls == []
 
 
 def test_cycle_to_tadpole_figure_pair():
