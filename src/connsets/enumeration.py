@@ -21,15 +21,15 @@ and streams those, in the same order, with no certificate built.
 ``enumerate_bicyclic`` canonicalises every graph, sorts by certificate
 and treats a repeated certificate as a contract violation, a check
 independent of the guards below.  All routes read one stream, whose
-guards use no certificate.  Each core passes two before its keys are
-yielded.  The group guard: the automorphisms the search lists for the
-core are distinct, map the core onto itself, and number the closed-form
-order of its shape's group.  The Burnside guard: the number of forests
-kept equals the number of orbits Burnside's lemma gives from rooted-tree
-counts (OEIS A000081, by Otter's recurrence).  The stream ends with the
-corpus checks: the class count of OEIS A001429 and, up to
-``LABELLED_GUARD_N``, the orbit-mass guard of :mod:`connsets.crosscheck`,
-which shares no code with the generator.
+guards use no certificate.  The group guard runs before a core's first
+key: the automorphisms the search lists for the core are distinct, map
+it onto itself, and number the closed-form order of its shape's group.
+The Burnside guard runs after its last key, before the next core's
+first: the keys kept, counted as they pass, number the orbits Burnside's
+lemma gives from rooted-tree counts (OEIS A000081, by Otter's
+recurrence).  The stream ends with the corpus checks: the class count
+of OEIS A001429 and, up to ``LABELLED_GUARD_N``, the orbit-mass guard
+of :mod:`connsets.crosscheck`, which shares no code with the generator.
 """
 
 from __future__ import annotations
@@ -395,17 +395,16 @@ def _check_group(
 
 
 def _guarded_stream(n: int) -> Iterator[Key]:
-    """Each core's kept keys, yielded once its two guards pass, then the
-    corpus checks.
+    """Each core's kept keys as they are made, then the corpus checks:
+    read to its end, the stream gives a proven corpus or raises.
 
     The group guard checks the canonical search's group against the
-    closed-form order.  Every orbit keeps at least its least key, so the
-    kept count is at least the orbit count, with equality exactly when
-    each class is kept once.  After the last core the corpus must be
-    nonempty and match ``_BICYCLIC_CLASSES``; up to ``LABELLED_GUARD_N``
-    its graphs must pass ``crosscheck.labeled_bicyclic_classes``, one
-    graph per class.  So a consumer that reads the stream to its end gets
-    a proven corpus or a contract violation.
+    closed-form order before a core's first key, the Burnside guard the
+    kept count after its last: every orbit keeps at least its least key,
+    so that count is at least the orbit count, with equality exactly
+    when each class is kept once.  After the last core the corpus must
+    be nonempty and match ``_BICYCLIC_CLASSES``, and up to
+    ``LABELLED_GUARD_N`` pass ``crosscheck.labeled_bicyclic_classes``.
     """
     labelled = n <= LABELLED_GUARD_N
     classes = 0
@@ -415,17 +414,18 @@ def _guarded_stream(n: int) -> Iterator[Key]:
         extra = n - core.n
         automorphisms = automorphism_group(core)
         _check_group(n, spec, core, automorphisms)
-        kept = list(_with_attachments(core, extra, automorphisms))
+        kept = 0
+        for kept, key in enumerate(_with_attachments(core, extra, automorphisms), 1):
+            if labelled:
+                keys.append(key)
+            yield key
         fixed = _burnside_sum(automorphisms, extra)
-        if len(kept) * len(automorphisms) != fixed:
+        if kept * len(automorphisms) != fixed:
             raise ContractViolationError(
-                f"n={n}: core {spec} kept {len(kept)} attachment choices, "
+                f"n={n}: core {spec} kept {kept} attachment choices, "
                 f"Burnside counts {fixed}/{len(automorphisms)} orbits"
             )
-        classes += len(kept)
-        if labelled:
-            keys += kept
-        yield from kept
+        classes += kept
     if not classes:
         raise ContractViolationError(f"enumeration produced no graphs at n={n}")
     if n in _BICYCLIC_CLASSES and classes != _BICYCLIC_CLASSES[n]:
@@ -460,10 +460,10 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     """One representative per isomorphism class of n-vertex bicyclic
     graphs, in generation order, with no certificate built.
 
-    The order is checked at the call; each core's representatives are
-    yielded only after its group and Burnside guards pass, and the stream
-    ends with the corpus checks (the A001429 class count, and up to
-    ``LABELLED_GUARD_N`` the labelled guard).  ``cap`` (default
+    The order is checked at the call; each core's group guard runs before
+    its first representative and its Burnside guard after its last, and
+    the stream ends with the corpus checks (the A001429 class count, and
+    up to ``LABELLED_GUARD_N`` the labelled guard).  ``cap`` (default
     ``DEFAULT_BICYCLIC_CAP``) is the largest order allowed.
     """
     _check_order(n, cap)
@@ -529,9 +529,9 @@ def generate_counted_keys(n: int, cap: int | None = None) -> Iterator[tuple[Key,
     the graph, and ``count`` is its number of connected sets.
 
     The order is checked at the call, and the keys pass every check of
-    ``generate_bicyclic``'s stream.  Each core's through-counts are
-    searched once, by the first of its keys that needs them (see
-    :func:`_key_count`).
+    ``generate_bicyclic``'s stream at the same points.  Each core's
+    through-counts are searched once, by the first of its keys that
+    needs them (see :func:`_key_count`).
     """
     _check_order(n, cap)
     return _counted(n)
@@ -545,11 +545,11 @@ def _counted(n: int) -> Iterator[tuple[Key, int]]:
 
 
 def enumerate_bicyclic(n: int, cap: int | None = None) -> list[Graph]:
-    """The classes of ``generate_bicyclic`` in certificate order, after
-    every check of its stream; a repeated certificate is a contract
-    violation too."""
+    """The classes of ``generate_bicyclic`` in certificate order, read
+    through every check of its stream before the first is canonicalised;
+    a repeated certificate is a contract violation too."""
     classes: dict[str, Graph] = {}
-    for g in generate_bicyclic(n, cap):
+    for g in list(generate_bicyclic(n, cap)):
         cert = canonical_certificate(g)
         if cert in classes:
             raise ContractViolationError(

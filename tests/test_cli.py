@@ -151,6 +151,11 @@ _PINNED_STDOUT = {
     ("verify", "max", "--n", "12", "--cap", "12"): (
         "57240e65b211412ec6421956a5b2dca2e1dba95979b8fb701a0f690518fc2f44"
     ),
+    # The one bicyclic route above the labelled guard that ``verify all``
+    # does not reach: it stops the vertex bound at n = 9.
+    ("verify", "vertex-bound", "--n", "10", "--cap", "10"): (
+        "d086960fc172baf08a50b39f4e177fb9eb9e67f71d4d824902d09e30dacb53f0"
+    ),
     ("verify", "tree-bound", "--n", "10"): (
         "b2c0ddf5bb20b206a2434b448240e72af83df34a8e9a39f275b671085a1a5118"
     ),

@@ -34,6 +34,7 @@ from connsets.enumeration import (
     _with_attachments,
     enumerate_bicyclic,
     generate_bicyclic,
+    generate_counted_keys,
     enumerate_trees,
     extract_core,
     pendant_free_core,
@@ -243,10 +244,12 @@ def test_group_guard_catches_a_search_that_meets_too_few_automorphisms(monkeypat
         list(generate_bicyclic(9))
 
 
-def test_burnside_guard_catches_a_class_kept_twice(monkeypatch):
+def test_burnside_guard_catches_a_class_kept_twice(monkeypatch, capsys):
     # Past the labelled sweep, so only the counting guards stand between
-    # the repeat and the verify sweeps.
+    # the repeat and the verify sweeps.  The guard runs after the core's
+    # last key, and every route still fails before it prints.
     import connsets.verify as verify_mod
+    from connsets.cli import main
 
     real = enumeration._with_attachments
     dumbbell = build(FamilySpec("dumbbell", (3, 4, 2)))
@@ -256,10 +259,42 @@ def test_burnside_guard_catches_a_class_kept_twice(monkeypatch):
         return graphs[:1] + graphs if core == dumbbell else graphs
 
     monkeypatch.setattr(enumeration, "_with_attachments", repeat_first)
-    with pytest.raises(ContractViolationError, match="n=9: core dumbbell:3,4,2 kept"):
-        list(generate_bicyclic(9))
-    with pytest.raises(ContractViolationError, match="n=9: core dumbbell:3,4,2 kept"):
-        verify_mod.verify_minimum(9)
+    message = "n=9: core dumbbell:3,4,2 kept"
+    routes = (
+        lambda: list(generate_bicyclic(9)),
+        lambda: list(generate_counted_keys(9)),
+        lambda: enumerate_bicyclic(9),
+        lambda: verify_mod.verify_minimum(9),
+    )
+    for route in routes:
+        with pytest.raises(ContractViolationError, match=message):
+            route()
+    for argv in (["enumerate", "--n", "9"], ["verify", "vertex-bound", "--n", "9"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
+
+
+def test_each_key_is_yielded_before_the_next_is_made(monkeypatch):
+    # The Burnside guard counts a core's keys as they pass, so the stream
+    # never lists a core's keys before yielding the first.
+    real = enumeration._with_attachments
+    events = []
+
+    def recording(core, extra, automorphisms):
+        for key in real(core, extra, automorphisms):
+            events.append(("made", key))
+            yield key
+
+    monkeypatch.setattr(enumeration, "_with_attachments", recording)
+    for key, _ in generate_counted_keys(9):
+        events.append(("yielded", key))
+    made = [key for event, key in events if event == "made"]
+    # Each earlier core made one key, so the first two consecutive keys on
+    # one core are the first two keys of the first core with two or more.
+    first, second = next((a, b) for a, b in zip(made, made[1:]) if a[0] == b[0])
+    assert events.index(("yielded", first)) < events.index(("made", second))
 
 
 @pytest.mark.parametrize(
