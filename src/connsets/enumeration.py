@@ -10,12 +10,15 @@ one forest per orbit of the core's automorphism group, which the
 canonical-labelling search lists (:func:`connsets.canon.automorphism_group`),
 so each class is generated exactly once.
 
-The generation yields attachment keys ``(core, sizes, shapes)``, and
-three routes read it.  ``generate_counted_keys`` streams the keys in
-generation order with each class's count, read off the key: the trees'
-rooted counts times the core's through-counts, the number of connected
-core sets through each set of tree roots, which the one include/exclude
-search of :mod:`connsets.counting` gives once per core and root set.
+The generation yields attachment keys ``(core, sizes, shapes)``, each
+shape the index of a row of ``_rooted_trees``, the one table of rooted
+tree shapes: a parent array, which the tree's edges are built from, with
+the tree's N(T) and count through the root.  Three routes read the keys.
+``generate_counted_keys`` streams them in generation order with each
+class's count, read off the key: the trees' rooted counts times the
+core's through-counts, the number of connected core sets through each
+set of tree roots, which the one include/exclude search of
+:mod:`connsets.counting` gives once per core and root set.
 ``generate_bicyclic`` builds each key's graph (:func:`graph_from_key`)
 and streams those, in the same order, with no certificate built.
 ``enumerate_bicyclic`` canonicalises every graph, sorts by certificate
@@ -90,17 +93,6 @@ def rooted_tree_level_sequences(size: int) -> Iterator[tuple[int, ...]]:
         yield tuple(levels)
 
 
-def tree_edges_from_levels(levels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Edges of the rooted tree a level sequence describes (root is 0)."""
-    last_at_level: dict[int, int] = {levels[0]: 0}
-    edges = []
-    for v in range(1, len(levels)):
-        lvl = levels[v]
-        edges.append((last_at_level[lvl - 1], v))
-        last_at_level[lvl] = v
-    return edges
-
-
 def enumerate_trees(n: int, cap: int | None = None) -> list[Graph]:
     """All isomorphism classes of free trees on ``n`` vertices, in
     certificate order: the shapes of ``_rooted_trees(n)`` collapsed by
@@ -112,8 +104,8 @@ def enumerate_trees(n: int, cap: int | None = None) -> list[Graph]:
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n <= {cap}, got {n}")
     seen: dict[str, Graph] = {}
-    for edges in _rooted_trees(n):
-        tree = Graph.from_edges(n, edges)
+    for parents, _, _ in _rooted_trees(n):
+        tree = Graph.from_edges(n, enumerate(parents, 1))
         seen.setdefault(canonical_certificate(tree), tree)
     # Otter's free-tree count (OEIS A000055) from the rooted counts t:
     # f_n = t_n - (sum_{i=1}^{n-1} t_i t_{n-i} - [n even] t_{n/2}) / 2.
@@ -246,11 +238,28 @@ def _core_specs(n: int) -> Iterator[FamilySpec]:
 
 
 @lru_cache(maxsize=None)
-def _rooted_trees(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(
-        tuple(tree_edges_from_levels(levels))
-        for levels in rooted_tree_level_sequences(size)
-    )
+def _rooted_trees(size: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """One row ``(parents, total, rooted)`` per rooted tree shape on
+    ``size`` vertices, in the order of ``rooted_tree_level_sequences``.
+
+    ``parents[v - 1]`` is the parent of vertex v: in a level sequence
+    (Beyer and Hedetniemi, *Constant time generation of rooted trees*,
+    1980) that is the last earlier vertex one level up, so the root is 0
+    and every parent comes before its child.  ``total`` is N(T), and
+    ``rooted`` the count through the root, from one block pass started
+    there, which leaves it in ``w[0]`` (see :func:`weighted_total`).
+    """
+    rows = []
+    for levels in rooted_tree_level_sequences(size):
+        last = [0] * (size + 1)  # last[l]: the latest vertex at level l
+        parents = []
+        for v, level in enumerate(levels[1:], 1):
+            parents.append(last[level - 1])
+            last[level] = v
+        tree = Graph.from_edges(size, enumerate(parents, 1))
+        w = [1] * size
+        rows.append((tuple(parents), weighted_total(tree, blocks(tree), w, None), w[0]))
+    return tuple(rows)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -270,17 +279,17 @@ def _with_attachments(
     group as ``automorphism_group`` lists it.
 
     A key is ``(core, sizes, shapes)``: the tree size at each core vertex
-    and the index of its shape in ``_rooted_trees``, where level sequences
-    name each rooted tree exactly once; :func:`graph_from_key` builds its
-    graph.  Two keys give isomorphic graphs exactly when an automorphism
-    of the core carries one onto the other, since every isomorphism maps
-    the pendant-free core onto itself.  ``_compositions`` and
-    ``itertools.product`` both run in increasing lexicographic order, so
-    keys are generated in increasing order and the least key of an orbit
-    is the first one generated; only that one is kept.  A composition is
-    skipped whole when an automorphism makes ``sizes`` smaller; otherwise
-    the shapes are compared only under the automorphisms that fix
-    ``sizes``.
+    and the index of its shape's row in ``_rooted_trees``, where level
+    sequences name each rooted tree exactly once; :func:`graph_from_key`
+    builds its graph.  Two keys give isomorphic graphs exactly when an
+    automorphism of the core carries one onto the other, since every
+    isomorphism maps the pendant-free core onto itself.  ``_compositions``
+    and ``itertools.product`` both run in increasing lexicographic order,
+    so keys are generated in increasing order and the least key of an
+    orbit is the first one generated; only that one is kept.  A
+    composition is skipped whole when an automorphism makes ``sizes``
+    smaller; otherwise the shapes are compared only under the
+    automorphisms that fix ``sizes``.
     """
     m = core.n
     identity = tuple(range(m))
@@ -302,13 +311,15 @@ def _with_attachments(
 def graph_from_key(key: Key) -> Graph:
     """The graph of an attachment key: the core on vertices ``0..m-1``,
     then each core vertex's tree, in core-vertex order, on the next
-    ``sizes[c]`` ids."""
+    ``sizes[c]`` ids, its edges read off the ``parents`` of its
+    ``_rooted_trees`` row."""
     core, sizes, shapes = key
     edges = core.edges()
     nxt = core.n
     for c, (size, shape) in enumerate(zip(sizes, shapes)):
         ids = [c, *range(nxt, nxt + size)]
-        edges.extend((ids[u], ids[v]) for u, v in _rooted_trees(size + 1)[shape])
+        parents = _rooted_trees(size + 1)[shape][0]
+        edges.extend((ids[p], ids[v]) for v, p in enumerate(parents, 1))
         nxt += size
     return Graph.from_edges(nxt, edges)
 
@@ -470,19 +481,6 @@ def generate_bicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     return map(graph_from_key, _guarded_stream(n))
 
 
-@lru_cache(maxsize=None)
-def _tree_counts(size: int) -> tuple[tuple[int, int], ...]:
-    """(N(T), rooted count at the root) of each rooted tree in
-    ``_rooted_trees(size)``, from one block pass started at the root,
-    vertex 0, which leaves its count in ``w[0]`` (see :func:`weighted_total`)."""
-    out = []
-    for edges in _rooted_trees(size):
-        t = Graph.from_edges(size, edges)
-        w = [1] * size
-        out.append((weighted_total(t, blocks(t), w, None), w[0]))
-    return tuple(out)
-
-
 def _key_count(key: Key, through: dict[int, int]) -> int:
     """N(G) for the graph of ``key``, built from the core alone.
 
@@ -499,17 +497,18 @@ def _key_count(key: Key, through: dict[int, int]) -> int:
 
     where the roots are the core vertices that carry a tree (r_c = 1
     elsewhere) and M(A) is the number of connected core sets through
-    every vertex of A; M of the empty set is N(core).  ``through`` maps
-    each mask A to M(A) for one core: each M(A) is counted by the one
-    include/exclude search the first time a key needs it, and read from
-    the dict by every later key on that core.
+    every vertex of A; M of the empty set is N(core).  N(T_c) and r_c are
+    the ``total`` and ``rooted`` fields of T_c's ``_rooted_trees`` row.
+    ``through`` maps each mask A to M(A) for one core: each M(A) is
+    counted by the one include/exclude search the first time a key needs
+    it, and read from the dict by every later key on that core.
     """
     core, sizes, shapes = key
     terms = [(0, 1)]  # (A, prod_{c in A} (r_c - 1)) over the subsets A
     hanging = 0
     for c, (size, shape) in enumerate(zip(sizes, shapes)):
         if size:
-            total, rooted = _tree_counts(size + 1)[shape]
+            _, total, rooted = _rooted_trees(size + 1)[shape]
             hanging += total - rooted
             terms += [(mask | 1 << c, prod * (rooted - 1)) for mask, prod in terms]
     count = hanging

@@ -151,6 +151,11 @@ _PINNED_STDOUT = {
     ("verify", "max", "--n", "12", "--cap", "12"): (
         "57240e65b211412ec6421956a5b2dca2e1dba95979b8fb701a0f690518fc2f44"
     ),
+    # B13 and R13 each carry a 10-vertex star, so this sweep reads the
+    # tree rows of 10 vertices, in the keyed counts and in graph_from_key.
+    ("verify", "max", "--n", "13", "--cap", "13"): (
+        "d2d5020b5ecbe0f4ed81f0b6dd4cb77b33b3c52774f04f760696ce156f106466"
+    ),
     # The one bicyclic route above the labelled guard that ``verify all``
     # does not reach: it stops the vertex bound at n = 9.
     ("verify", "vertex-bound", "--n", "10", "--cap", "10"): (

@@ -1,6 +1,8 @@
 """Tree and bicyclic generation, core extraction, and the cross-check
 against the independent labelled generator."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,6 @@ from connsets.enumeration import (
     _rooted_tree_counts,
     _rooted_trees,
     _shape_group_order,
-    _tree_counts,
     _with_attachments,
     enumerate_bicyclic,
     generate_bicyclic,
@@ -185,12 +186,34 @@ def test_otter_recurrence_counts_the_level_sequences():
 
 
 def test_tree_table_counts_every_rooted_shape():
-    # The (N, r) weights of the keyed count, against the oracle.
+    # Each row's parents redraw its level sequence, and its (N, r) weights
+    # of the keyed count match the oracle.
     for size in range(1, 9):
-        table = zip(_rooted_trees(size), _tree_counts(size), strict=True)
-        for edges, pair in table:
-            t = Graph.from_edges(size, edges)
-            assert pair == (oracle_count(t).total, oracle_count_rooted(t, 0).value), edges
+        table = zip(_rooted_trees(size), rooted_tree_level_sequences(size), strict=True)
+        for (parents, total, rooted), levels in table:
+            assert all(p < v for v, p in enumerate(parents, 1)), parents
+            depth = [1]
+            for p in parents:
+                depth.append(depth[p] + 1)
+            assert tuple(depth) == levels, parents
+            t = Graph.from_edges(size, enumerate(parents, 1))
+            assert (total, rooted) == (
+                oracle_count(t).total, oracle_count_rooted(t, 0).value
+            ), parents
+
+
+def test_tree_table_is_compact():
+    # One small row per shape: the 1205 shapes on at most 10 vertices hold
+    # about 0.2 MiB, and the bound leaves no room for a tuple of edge
+    # tuples per shape (0.63 MiB).
+    _rooted_trees.cache_clear()
+    tracemalloc.start()
+    try:
+        assert sum(len(_rooted_trees(size)) for size in range(1, 11)) == 1205
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.4 * 2**20, held
 
 
 def test_closed_form_group_order_matches_the_search():
