@@ -13,7 +13,9 @@ so each class is generated exactly once.
 The generation yields attachment keys ``(core, sizes, shapes)``, each
 shape the index of a row of ``_rooted_trees``, the one table of rooted
 tree shapes: a parent array, which the tree's edges are built from, with
-the tree's N(T) and count through the root.  Three routes read the keys.
+the tree's N(T) and count through the root, both from one backward sweep
+of the parent array by the product over children, with no graph built
+and no block pass run.  Three routes read the keys.
 ``generate_counted_keys`` streams them in generation order with each
 class's count, read off the key: the trees' rooted counts times the
 core's through-counts, the number of connected core sets through each
@@ -44,13 +46,12 @@ from operator import itemgetter
 from typing import Iterator
 
 from .canon import automorphism_group, canonical_certificate
-from .counting import _connected_subsets, weighted_total
+from .counting import _connected_subsets
 from .errors import LABELLED_GUARD_N, ContractViolationError, ResourceCapError
 from .families import FamilySpec, build
 from .graphs import (
     Graph,
     bits,
-    blocks,
     components,
     cut_vertices,
     is_connected,
@@ -246,8 +247,12 @@ def _rooted_trees(size: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     (Beyer and Hedetniemi, *Constant time generation of rooted trees*,
     1980) that is the last earlier vertex one level up, so the root is 0
     and every parent comes before its child.  ``total`` is N(T), and
-    ``rooted`` the count through the root, from one block pass started
-    there, which leaves it in ``w[0]`` (see :func:`weighted_total`).
+    ``rooted`` the count through the root, by the product over children
+    (Szekely and Wang, *On subtrees of trees*, 2005): ``down[v]``, the
+    number of subtrees whose highest vertex is v, is the product of
+    ``1 + down[c]`` over v's children c, so one backward sweep makes
+    every ``down[v]`` final before its parent reads it; ``rooted`` is
+    ``down[0]`` and ``total`` the sum of ``down``.
     """
     rows = []
     for levels in rooted_tree_level_sequences(size):
@@ -256,9 +261,10 @@ def _rooted_trees(size: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
         for v, level in enumerate(levels[1:], 1):
             parents.append(last[level - 1])
             last[level] = v
-        tree = Graph.from_edges(size, enumerate(parents, 1))
-        w = [1] * size
-        rows.append((tuple(parents), weighted_total(tree, blocks(tree), w, None), w[0]))
+        down = [1] * size
+        for v in range(size - 1, 0, -1):
+            down[parents[v - 1]] *= 1 + down[v]
+        rows.append((tuple(parents), sum(down), down[0]))
     return tuple(rows)
 
 

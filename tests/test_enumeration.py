@@ -16,8 +16,10 @@ from connsets import (
     is_connected,
     oracle_count,
     oracle_count_rooted,
+    smart_count,
+    smart_count_rooted,
 )
-from connsets import canon, crosscheck
+from connsets import canon, counting, crosscheck
 from connsets.canon import automorphism_group
 from connsets.crosscheck import (
     _swept_classes,
@@ -187,7 +189,9 @@ def test_otter_recurrence_counts_the_level_sequences():
 
 def test_tree_table_counts_every_rooted_shape():
     # Each row's parents redraw its level sequence, and its (N, r) weights
-    # of the keyed count match the oracle.
+    # of the keyed count match the oracle.  Past the oracle's comfortable
+    # sizes (the 2847 shapes on 9..11 vertices) the product rule is
+    # compared with the block pass, an independent route to both numbers.
     for size in range(1, 9):
         table = zip(_rooted_trees(size), rooted_tree_level_sequences(size), strict=True)
         for (parents, total, rooted), levels in table:
@@ -200,6 +204,29 @@ def test_tree_table_counts_every_rooted_shape():
             assert (total, rooted) == (
                 oracle_count(t).total, oracle_count_rooted(t, 0).value
             ), parents
+    shapes = 0
+    for size in range(9, 12):
+        for parents, total, rooted in _rooted_trees(size):
+            t = Graph.from_edges(size, enumerate(parents, 1))
+            assert (total, rooted) == (
+                smart_count(t).total, smart_count_rooted(t, 0).value
+            ), parents
+            shapes += 1
+    assert shapes == 2847
+
+
+def test_tree_table_runs_no_block_pass(monkeypatch):
+    # The table counts each shape from its parent array alone: no block
+    # pass runs while it is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree table ran a block pass")
+
+    _rooted_trees.cache_clear()
+    monkeypatch.setattr(counting, "_block_sums", refuse)
+    try:
+        assert sum(len(_rooted_trees(size)) for size in range(1, 11)) == 1205
+    finally:
+        _rooted_trees.cache_clear()
 
 
 def test_tree_table_is_compact():
